@@ -58,9 +58,9 @@ pub struct CliOptions {
     pub max_retries: u32,
     /// Stream a progress/checkpoint frame pair every this many rounds in
     /// `--processes` mode, letting failed workers restart from their last
-    /// verified checkpoint instead of from seed. `0` (the default) keeps
-    /// the legacy one-shot worker protocol. Figure binaries note and
-    /// ignore the flag.
+    /// verified checkpoint instead of from seed. `0` (the default) runs
+    /// one-shot workers that send only their final frame. Figure binaries
+    /// note and ignore the flag.
     pub checkpoint_every: u64,
     /// Scenario file (`key = value` lines) describing faults, churn,
     /// staleness and probe loss for the `sweep` binary. Figure binaries note

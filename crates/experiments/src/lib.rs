@@ -31,8 +31,8 @@
 //!
 //! All experiments fan their `(system × load × policy × seed)` grids out on
 //! the unified [`SweepGrid`] executor (module [`sweep`]), which rides the
-//! same persistent worker pool as the simulator's parallel runners; results are
-//! bit-identical regardless of the thread count.
+//! same [`scd_sim::fan_out`] as the simulator's parallel runners; results
+//! are bit-identical regardless of the thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

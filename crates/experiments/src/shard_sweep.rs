@@ -9,9 +9,10 @@
 //! --shards 4`) and as the harness for shard-count scaling studies.
 //!
 //! The grid itself rides [`SweepGrid`] — the same unified executor all
-//! figure experiments use — so cells are distributed over the persistent
-//! worker pool while each cell steps its shards sequentially (no nested
-//! oversubscription); results are bit-identical for every thread count.
+//! figure experiments use — so cells are distributed over the
+//! [`scd_sim::fan_out`] threads while each cell steps its shards
+//! sequentially (no nested oversubscription); results are bit-identical for
+//! every thread count.
 
 use crate::cli::CliOptions;
 use crate::output::OutputSink;
@@ -61,8 +62,8 @@ pub struct ShardSweepSpec {
     /// (`--max-retries`).
     pub max_retries: u32,
     /// Checkpoint streaming cadence in rounds for `processes` mode
-    /// (`--checkpoint-every`; 0 = legacy one-shot workers, retries restart
-    /// from seed).
+    /// (`--checkpoint-every`; 0 = one-shot workers, retries restart from
+    /// seed).
     pub checkpoint_every: u64,
     /// Worker threads for the cell grid.
     pub threads: usize,

@@ -10,21 +10,19 @@
 //! Three layers, mirroring the classic supervisor tree:
 //!
 //! * [`codec`] — a versioned, length-prefixed, checksummed binary frame
-//!   envelope. The legacy v2 generation wraps one
-//!   [`ShardReport`](crate::ShardReport); the streaming v3 generation adds
-//!   a kind byte and carries `Progress` heartbeats, restartable
-//!   `Checkpoint` state and the `Final` report over the same envelope.
-//!   Everything a worker sends is either a provably intact frame or a
+//!   envelope whose kind byte tells `Progress` heartbeats, restartable
+//!   `Checkpoint` state and the `Final` [`ShardReport`](crate::ShardReport)
+//!   apart. Everything a worker sends is either a provably intact frame or a
 //!   classified rejection ([`CodecError`]); a torn pipe can never smuggle
 //!   half a histogram — or half a checkpoint — into a run.
 //! * [`worker`] — the in-process body of the `shard_worker` binary: parse
 //!   one shard's configuration (the `key = value` wire form of
 //!   [`SimConfig`](crate::SimConfig) on stdin), check it against the
 //!   orchestrator's expectations (sub-master seed, config digest), run the
-//!   shard, and stream frames on stdout — one v2 frame in the legacy
-//!   one-shot mode (`--checkpoint-every 0`), a progress/checkpoint pair
-//!   every `R` rounds plus a v3 final frame otherwise. `--resume-from
-//!   stdin` restores a retained checkpoint and continues bit-identically.
+//!   shard, and stream frames on stdout — a progress/checkpoint pair every
+//!   `R` rounds (none with `--checkpoint-every 0`), then one final frame.
+//!   `--resume-from stdin` restores a retained checkpoint and continues
+//!   bit-identically.
 //!   A deterministic [`WorkerFaultPlan`] injects crashes (including
 //!   mid-stream, right after the N-th checkpoint), hangs and corruption
 //!   for the fault-tolerance tests — the faults are part of the observable
@@ -59,8 +57,8 @@ pub mod worker;
 
 pub use codec::{
     decode_frame, decode_shard_report, encode_checkpoint_frame, encode_final_frame,
-    encode_progress_frame, encode_shard_report, peek_frame_len, CheckpointFrame, CodecError, Frame,
-    FrameKind, ProgressFrame, FRAME_VERSION, FRAME_VERSION_V2,
+    encode_progress_frame, peek_frame_len, CheckpointFrame, CodecError, Frame, FrameKind,
+    ProgressFrame, FRAME_VERSION,
 };
 pub use orchestrator::{
     run_fabric, FabricOutcome, FabricSpec, InjectedFault, ShardAttempt, WorkerFailure,

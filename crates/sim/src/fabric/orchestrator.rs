@@ -10,9 +10,9 @@
 //! Supervision is per frame, not per attempt: the deadline
 //! ([`FabricSpec::timeout`]) bounds the gap between consecutive stdout
 //! events of a worker — a **heartbeat deadline** that detects a stalled
-//! worker independently of total run length. A worker in the legacy
-//! one-shot mode emits exactly one event (its report frame), so the
-//! deadline degenerates to the classic per-attempt wall clock there.
+//! worker independently of total run length. A worker in one-shot mode
+//! (`checkpoint_every == 0`) emits exactly one event (its report frame),
+//! so the deadline degenerates to the classic per-attempt wall clock there.
 //! Every way an attempt can go wrong maps to one [`WorkerFailure`]
 //! variant — spawn failure, nonzero exit (crash), frame rejection
 //! (truncation/corruption, via [`CodecError`]), a report for the wrong
@@ -103,8 +103,8 @@ pub struct FabricSpec {
     pub timeout: Duration,
     /// Ask every worker to stream a progress heartbeat plus a checkpoint
     /// frame each `checkpoint_every` rounds; failed workers restart from
-    /// the newest verified checkpoint. `0` (the default) reproduces the
-    /// legacy one-shot protocol byte-for-byte.
+    /// the newest verified checkpoint. `0` (the default) is the one-shot
+    /// protocol: one `Final` frame per worker, retries restart from seed.
     pub checkpoint_every: u64,
     /// Backoff before retry `r` (counting from 1) starts from
     /// `backoff_base · 2^(r−1)`…
@@ -475,7 +475,7 @@ fn run_attempt(
         Some(report) => report,
         None => {
             return Err(WorkerFailure::Frame(CodecError::Truncated {
-                needed: crate::fabric::codec::HEADER_LEN_V2,
+                needed: crate::fabric::codec::HEADER_LEN,
                 got: 0,
             }))
         }

@@ -7,12 +7,11 @@
 //! orchestrator side) on stdin, cross-checks it against the orchestrator's
 //! expectations, runs the shard exactly like the in-process engine would,
 //! and answers on stdout. With `checkpoint_every == 0` and no resume state
-//! that answer is a single legacy (v2) report frame — byte-for-byte the
-//! pre-checkpoint protocol. With `checkpoint_every = R` the worker
-//! *streams*: a `Progress` heartbeat plus a `Checkpoint` frame every `R`
-//! rounds, then one v3 `Final` frame. A worker launched with a retained
-//! checkpoint (`--resume-from stdin`) restores it and continues the run
-//! bit-identically. Everything operational — supervision, heartbeat
+//! that answer is a single `Final` report frame. With `checkpoint_every =
+//! R` the worker *streams*: a `Progress` heartbeat plus a `Checkpoint`
+//! frame every `R` rounds, then the `Final` frame. A worker launched with
+//! a retained checkpoint (`--resume-from stdin`) restores it and continues
+//! the run bit-identically. Everything operational — supervision, heartbeat
 //! deadlines, retries, merging — lives with the orchestrator; a worker
 //! that dies mid-run leaves nothing behind but a classifiable failure and
 //! whatever verified checkpoints it already streamed.
@@ -34,7 +33,7 @@ use crate::config::SimConfig;
 use crate::engine::{SimError, Simulation};
 use crate::fabric::codec::{
     decode_frame, encode_checkpoint_frame, encode_final_frame, encode_progress_frame,
-    encode_shard_report, CheckpointFrame, Frame, ProgressFrame, HEADER_LEN_V2, HEADER_LEN_V3,
+    CheckpointFrame, Frame, ProgressFrame, HEADER_LEN,
 };
 use crate::shard::ShardReport;
 use scd_model::PolicyFactory;
@@ -131,8 +130,8 @@ pub struct WorkerSpec {
     /// to the experiment it belongs to.
     pub config_digest: u64,
     /// Stream a `Progress` + `Checkpoint` frame pair every this many
-    /// rounds. `0` (the default) reproduces the legacy one-shot protocol:
-    /// exactly one v2 report frame, byte-for-byte.
+    /// rounds. `0` (the default) is the one-shot protocol: exactly one
+    /// `Final` frame and nothing else.
     pub checkpoint_every: u64,
     /// Whether stdin carries, after the configuration text and a
     /// `%%CHECKPOINT%%` delimiter line, a raw checkpoint frame to resume
@@ -305,23 +304,11 @@ pub fn run_worker(
         config_digest: spec.config_digest,
         report,
     };
-    // The legacy one-shot protocol stays byte-for-byte: a worker that
-    // neither checkpoints nor resumes seals the v2 envelope.
-    let (mut frame, header_len) = if streaming {
-        (
-            encode_final_frame(&shard_report).map_err(codec_err)?,
-            HEADER_LEN_V3,
-        )
-    } else {
-        (
-            encode_shard_report(&shard_report).map_err(codec_err)?,
-            HEADER_LEN_V2,
-        )
-    };
+    let mut frame = encode_final_frame(&shard_report).map_err(codec_err)?;
     if spec.fault.corrupt_frame {
         // Flip a bit in the first payload byte: past the header, so the
         // envelope still parses and the *checksum* is what catches it.
-        frame[header_len] ^= 0x01;
+        frame[HEADER_LEN] ^= 0x01;
     }
     if spec.fault.truncate_frame {
         frame.truncate(frame.len() / 2);
@@ -363,7 +350,7 @@ mod tests {
     }
 
     /// `run_worker` with a sink that rejects intermediate frames — the
-    /// legacy path must never emit any.
+    /// one-shot path must never emit any.
     fn run_oneshot(
         spec: &WorkerSpec,
         text: &str,

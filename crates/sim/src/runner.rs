@@ -165,62 +165,24 @@ pub fn run_replications(
     results.into_iter().collect()
 }
 
-/// Work-stealing index fan-out over the persistent worker pool: runs
-/// `worker` for every index in `0..count` on the calling thread plus up to
-/// `threads - 1` pool workers and returns the outputs in index order.
+/// Upper bound on the OS threads one [`fan_out`] call starts. Far above any
+/// sensible `threads` request, but `threads` is user input (`--threads`),
+/// and `usize::MAX` must not start one thread per index.
+const MAX_WORKERS: usize = 512;
+
+/// Work-stealing index fan-out: runs `worker` for every index in
+/// `0..count` on up to `threads` scoped OS threads (capped at 512) and
+/// returns the outputs in index order.
 ///
 /// A `threads` value of 0 or 1 (or a single index) runs everything on the
-/// calling thread. This is the one thread-pool primitive of the workspace —
-/// the policy/seed runners above and `scd-experiments`' sweep executor are
-/// both built on it.
-///
-/// The pool ([`crate::pool`]) is built lazily on first use and its workers
-/// park between calls, so short fan-outs (sweeps over many small cells) no
-/// longer pay per-call thread-startup costs. Scheduling is invisible in the
+/// calling thread. This is the one parallelism primitive of the workspace —
+/// the policy/seed runners above, the shard runner and `scd-experiments`'
+/// sweep executor are all built on it. Scheduling is invisible in the
 /// results: outputs come back in index order and every unit of work derives
-/// its behavior from its index alone, so pooled execution is bit-identical
-/// to [`fan_out_scoped`] and to a sequential loop (asserted below and by the
-/// engine/sweep determinism tests).
+/// its behavior from its index alone, so a parallel run is bit-identical to
+/// a sequential loop (asserted below and by the engine/sweep determinism
+/// tests). A worker panic re-raises in the caller.
 pub fn fan_out<R, F>(count: usize, threads: usize, worker: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    use std::sync::Mutex;
-
-    if count == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(count);
-    if threads == 1 {
-        return (0..count).map(worker).collect();
-    }
-
-    let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let task = |index: usize| {
-        let output = worker(index);
-        *slots[index].lock().expect("no poisoned locks") = Some(output);
-    };
-    crate::pool::run_on_pool(count, threads, &task);
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned locks")
-                .expect("every slot was filled")
-        })
-        .collect()
-}
-
-/// The previous `fan_out` implementation — fresh scoped threads per call —
-/// retained as the reference the pooled path is benchmarked and
-/// equivalence-tested against (`BENCH_engine.json`'s "sweep" row records
-/// pooled vs scoped on a many-small-cells grid).
-///
-/// Semantics are identical to [`fan_out`]: same work-stealing index
-/// contract, same in-order results, bit-identical outputs.
-pub fn fan_out_scoped<R, F>(count: usize, threads: usize, worker: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Send + Sync,
@@ -231,26 +193,22 @@ where
     if count == 0 {
         return Vec::new();
     }
-    let threads = threads.max(1).min(count);
+    let threads = threads.clamp(1, MAX_WORKERS).min(count);
     if threads == 1 {
         return (0..count).map(worker).collect();
     }
 
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let worker_ref = &worker;
-    let next_ref = &next;
-    let slots_ref = &slots;
-
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(move || loop {
-                let index = next_ref.fetch_add(1, Ordering::Relaxed);
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
                 if index >= count {
                     break;
                 }
-                let output = worker_ref(index);
-                *slots_ref[index].lock().expect("no poisoned locks") = Some(output);
+                let output = worker(index);
+                *slots[index].lock().expect("no poisoned locks") = Some(output);
             });
         }
     });
@@ -400,7 +358,7 @@ mod tests {
 
     #[test]
     fn pooled_fan_out_matches_scoped_and_sequential() {
-        // Index-derived work: pooled, scoped and sequential execution must
+        // Index-derived work: parallel and sequential execution must
         // produce identical in-order outputs for every thread count.
         let work = |index: usize| {
             let mut acc = index as u64;
@@ -412,61 +370,59 @@ mod tests {
             (index, acc)
         };
         let sequential: Vec<(usize, u64)> = (0..97).map(work).collect();
-        for threads in [2usize, 3, 8, 64] {
-            assert_eq!(
-                fan_out(97, threads, work),
-                sequential,
-                "pooled, {threads} threads"
-            );
-            assert_eq!(
-                fan_out_scoped(97, threads, work),
-                sequential,
-                "scoped, {threads} threads"
-            );
+        for threads in [1usize, 2, 3, 8, 64] {
+            assert_eq!(fan_out(97, threads, work), sequential, "{threads} threads");
         }
-        assert_eq!(fan_out(97, 1, work), sequential);
         assert!(fan_out(0, 8, work).is_empty());
-        assert!(fan_out_scoped(0, 8, work).is_empty());
     }
 
     #[test]
     fn pool_survives_many_small_fan_outs() {
-        // The motivating workload: lots of tiny jobs in quick succession.
-        // Each reuses the parked workers instead of spawning threads.
+        // Sweeps over many small cells: lots of tiny fan-outs in quick
+        // succession, each starting and joining its own threads.
         for round in 0..200usize {
             let out = fan_out(3, 4, |i| i + round);
             assert_eq!(out, vec![round, round + 1, round + 2]);
         }
     }
 
-    #[test]
-    fn fan_out_honors_the_thread_cap_despite_a_larger_pool() {
+    /// Runs `count` short indices through `fan_out` and returns the peak
+    /// number of workers observed running at once.
+    fn peak_concurrency(count: usize, threads: usize) -> usize {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // Grow the pool well past 2 workers with a wide call first.
-        let _ = fan_out(16, 8, |i| i);
-        // A threads=2 call may use the caller plus at most ONE pool helper,
-        // no matter how many workers are parked. The observed-concurrency
-        // bound is structural (helper cap), not timing-dependent.
         let current = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let _ = fan_out(64, 2, |i| {
+        let _ = fan_out(count, threads, |i| {
             let now = current.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::hint::black_box((0..500).map(|x| x ^ i).sum::<usize>());
             current.fetch_sub(1, Ordering::SeqCst);
             i
         });
+        peak.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn fan_out_honors_the_thread_cap_despite_a_larger_pool() {
+        // The bound is structural (threads started), not timing-dependent,
+        // and an earlier wider call leaves nothing behind that could help.
+        let _ = fan_out(16, 8, |i| i);
+        let peak = peak_concurrency(64, 2);
+        assert!(peak <= 2, "threads=2 ran {peak} ways parallel");
+    }
+
+    #[test]
+    fn unbounded_thread_requests_are_capped() {
+        let peak = peak_concurrency(2_000, usize::MAX);
         assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "threads=2 ran {} ways parallel",
-            peak.load(Ordering::SeqCst)
+            peak <= MAX_WORKERS,
+            "threads=usize::MAX ran {peak} ways parallel (cap {MAX_WORKERS})"
         );
     }
 
     #[test]
     fn nested_fan_outs_complete() {
-        // A pool worker posting its own job must not deadlock: every caller
-        // participates in draining its own indices.
+        // A worker starting its own fan-out must not deadlock.
         let out = fan_out(4, 4, |outer| {
             let inner = fan_out(3, 2, move |i| (outer * 10 + i) as u64);
             inner.iter().sum::<u64>()
@@ -491,7 +447,7 @@ mod tests {
             result.is_err(),
             "a worker panic must re-raise in the caller"
         );
-        // The pool must remain usable afterwards.
+        // Later fan-outs are unaffected.
         assert_eq!(fan_out(4, 4, |i| i * 2), vec![0, 2, 4, 6]);
     }
 
