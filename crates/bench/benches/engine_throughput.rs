@@ -14,16 +14,11 @@
 //! * **SCD** — the warm-started verified solver vs `cold_solve()` (trimming
 //!   fixpoints re-derived from scratch every solve). Decisions are
 //!   bit-identical, so this is a same-trajectory comparison.
-//! * **DELTA** — SCD on the engine with round-to-round delta tracking
-//!   (dirty sets, delta cache refresh) vs `with_delta_rounds(false)`.
-//!   Reports are bit-identical.
 //! * **JSQ / SED / LSQ / LED** — warm-tree dispatch (one tournament per
 //!   policy instance across rounds, per-epoch priorities, dirty-key repair)
 //!   vs `per_batch_rebuild()` (fresh priorities and an `O(n)` tree rebuild
 //!   every batch). The two paths consume the RNG differently, so these are
 //!   same-workload, not same-trajectory, comparisons.
-//! * **IWL** — Algorithm 3 over a per-round full sort vs `LoadOrder::repair`
-//!   over an engine-style dirty set, on identical drifting queues.
 //! * **SHARD** — the bench system on the sharded round engine: one shard
 //!   (bit-identical to the unsharded engine) vs a 4-way split of servers
 //!   and dispatchers. The split wins even on a single core because per-round
@@ -33,7 +28,7 @@
 //!   sampler vs `classic_sampler()` (the dense per-server alias chain).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use scd_core::policy::ScdFactory;
 use scd_model::{ClusterSpec, PolicyFactory, RateProfile};
 use scd_policies::{JsqFactory, LedFactory, LsqFactory, SedFactory};
@@ -49,9 +44,9 @@ const SEED: u64 = 7;
 /// when the baseline or the optimized engine changes meaning, so earlier
 /// recordings stay auditable.
 const RUN_LABEL: &str =
-    "one-switch ablations (SCD warm vs cold_solve, DELTA rounds on vs off, JSQ/SED/LSQ/LED \
-     warm tree vs per_batch_rebuild, IWL repair vs full sort, SHARD k=4 vs k=1, SCD@10K \
-     compressed vs classic sampler); the legacy round loop, WR and SWEEP rows are retired";
+    "one-switch ablations (SCD warm vs cold_solve, JSQ/SED/LSQ/LED warm tree vs \
+     per_batch_rebuild, SHARD k=4 vs k=1, SCD@10K compressed vs classic sampler); the legacy \
+     round loop, WR, SWEEP, DELTA and IWL rows are retired";
 
 /// Interleaved measurement pairs per policy; `CRITERION_QUICK=1` drops to a
 /// single pair (CI smoke test).
@@ -121,48 +116,6 @@ struct PolicyResult {
     optimized: f64,
 }
 
-/// The IWL row's trajectory: `IWL_ROUNDS` rounds, each mutating
-/// `IWL_DIRTY_PER_ROUND` of the `SERVERS` queues (an engine-style dirty
-/// set), re-deriving the sorted-by-load order either cold (full sort) or
-/// incrementally (`LoadOrder::repair`), then running Algorithm 3 proper
-/// over it.
-const IWL_ROUNDS: u64 = 40_000;
-const IWL_DIRTY_PER_ROUND: usize = 6;
-
-fn run_iwl_bench(incremental: bool) -> u64 {
-    use scd_core::iwl::{compute_iwl_with_order, sorted_by_load_into, LoadOrder};
-    let mut cluster_rng = StdRng::seed_from_u64(SEED);
-    let spec = RateProfile::paper_moderate()
-        .materialize(SERVERS, &mut cluster_rng)
-        .expect("valid profile");
-    let rates = spec.rates().to_vec();
-    let mut queues: Vec<u64> = (0..SERVERS as u64).map(|s| (s * 7) % 20).collect();
-    let mut drift_rng = StdRng::seed_from_u64(SEED ^ 0x1D1);
-    let mut order = LoadOrder::new();
-    order.rebuild(&queues, &rates);
-    let mut scratch: Vec<usize> = Vec::new();
-    let mut dirty: Vec<u32> = Vec::new();
-    let mut checksum = 0u64;
-    for round in 0..IWL_ROUNDS {
-        dirty.clear();
-        for _ in 0..IWL_DIRTY_PER_ROUND {
-            let s = drift_rng.gen_range(0..SERVERS);
-            queues[s] = drift_rng.gen_range(0..25u64);
-            dirty.push(s as u32);
-        }
-        let arrivals = (round % 50) as f64;
-        let iwl = if incremental {
-            order.repair(&queues, &rates, &dirty);
-            compute_iwl_with_order(&queues, &rates, arrivals, order.order())
-        } else {
-            sorted_by_load_into(&queues, &rates, &mut scratch);
-            compute_iwl_with_order(&queues, &rates, arrivals, &scratch)
-        };
-        checksum = checksum.wrapping_add(iwl.to_bits());
-    }
-    checksum
-}
-
 fn main() {
     let config = bench_config();
     println!(
@@ -173,66 +126,43 @@ fn main() {
 
     let mut results: Vec<PolicyResult> = Vec::new();
 
-    // One engine-level row: `(name, baseline, optimized, baseline runs
-    // with delta rounds)`. The optimized side always runs the default
-    // engine.
-    type Row = (
-        &'static str,
-        Box<dyn PolicyFactory>,
-        Box<dyn PolicyFactory>,
-        bool,
-    );
+    // One engine-level row: `(name, baseline, optimized)`, both run on the
+    // same engine.
+    type Row = (&'static str, Box<dyn PolicyFactory>, Box<dyn PolicyFactory>);
     let rows: Vec<Row> = vec![
         (
             "SCD",
             Box::new(ScdFactory::new().cold_solve()),
             Box::new(ScdFactory::new()),
-            true,
-        ),
-        (
-            "DELTA",
-            Box::new(ScdFactory::new()),
-            Box::new(ScdFactory::new()),
-            false,
         ),
         (
             "JSQ",
             Box::new(JsqFactory::new().per_batch_rebuild()),
             Box::new(JsqFactory::new()),
-            true,
         ),
         (
             "SED",
             Box::new(SedFactory::new().per_batch_rebuild()),
             Box::new(SedFactory::new()),
-            true,
         ),
         (
             "LSQ",
             Box::new(LsqFactory::new().per_batch_rebuild()),
             Box::new(LsqFactory::new()),
-            true,
         ),
         (
             "LED",
             Box::new(LedFactory::new().per_batch_rebuild()),
             Box::new(LedFactory::new()),
-            true,
         ),
     ];
 
     let simulation = Simulation::new(config.clone()).expect("valid configuration");
-    let no_delta_simulation = simulation.clone().with_delta_rounds(false);
-    for (policy, baseline_factory, optimized_factory, baseline_deltas) in rows {
-        let baseline_simulation = if baseline_deltas {
-            &simulation
-        } else {
-            &no_delta_simulation
-        };
+    for (policy, baseline_factory, optimized_factory) in rows {
         let (baseline, optimized) = measure_pair(
             ROUNDS,
             || {
-                baseline_simulation
+                simulation
                     .run(baseline_factory.as_ref())
                     .expect("clean run")
                     .jobs_completed
@@ -255,24 +185,6 @@ fn main() {
             optimized,
         });
     }
-
-    // The incremental load order: per-round full sort (allocation-free
-    // `sorted_by_load_into`) vs `LoadOrder::repair` over the engine-style
-    // dirty set, on identical drifting queue trajectories; both paths feed
-    // Algorithm 3 proper and must produce identical IWL bits.
-    let (baseline, optimized) =
-        measure_pair(IWL_ROUNDS, || run_iwl_bench(false), || run_iwl_bench(true));
-    println!(
-        "  IWL   baseline {baseline:>12.0} rounds/s | optimized {optimized:>12.0} rounds/s | \
-         speedup {:.2}x  (full sort vs dirty-set repair, {IWL_DIRTY_PER_ROUND} dirty of \
-         {SERVERS} per round)",
-        optimized / baseline
-    );
-    results.push(PolicyResult {
-        policy: "IWL",
-        baseline,
-        optimized,
-    });
 
     // The sharded engine: one shard (bit-identical to the unsharded round
     // loop, run sequentially) vs a 4-way striped split of servers and

@@ -43,8 +43,7 @@ pub fn compute_iwl(queues: &[u64], rates: &[f64], arrivals: f64) -> f64 {
 /// `q_s / µ_s` — the order required by [`compute_iwl_with_order`].
 ///
 /// The sort is stable, so equal loads keep index order: the result is the
-/// unique permutation sorted by the composite key `(load, index)` — the
-/// invariant [`LoadOrder`] maintains incrementally.
+/// unique permutation sorted by the composite key `(load, index)`.
 pub fn sorted_by_load(queues: &[u64], rates: &[f64]) -> Vec<usize> {
     let mut order = Vec::new();
     sorted_by_load_into(queues, rates, &mut order);
@@ -67,186 +66,6 @@ pub fn sorted_by_load_into(queues: &[u64], rates: &[f64], order: &mut Vec<usize>
         let lb = queues[b] as f64 / rates[b];
         la.partial_cmp(&lb).expect("loads are finite")
     });
-}
-
-/// A persistent sorted-by-load permutation, repaired incrementally from the
-/// engine's round-to-round dirty sets.
-///
-/// Algorithm 3-style consumers need the servers in non-decreasing load
-/// order every round ([`compute_iwl_with_order`] — the water-filling scan
-/// proper). Re-sorting costs
-/// `O(n log n)` per round even though, between consecutive rounds, only the
-/// dirty servers (dispatch targets ∪ servers with completions) moved. A
-/// `LoadOrder` keeps the full permutation across rounds and repairs it by
-/// **relocating only the dirty servers** (in-place binary search + a
-/// subrange rotation bounded by the displacement), with the full sort as
-/// the cold/fallback path —
-/// [`repair`](LoadOrder::repair) degrades to
-/// [`rebuild`](LoadOrder::rebuild) when the dirty set is dense enough that
-/// shifting would cost more than sorting.
-///
-/// # Invariant and exactness
-///
-/// The permutation is kept sorted by the composite key `(q_s/µ_s, s)` —
-/// exactly the output of the stable [`sorted_by_load`] sort. Because the
-/// composite keys are distinct, every state has a *unique* valid
-/// permutation, so an incrementally repaired order is **identical** (not
-/// merely equivalent) to a cold re-sort, and everything derived from it
-/// (e.g. the Algorithm 3 scan) is bit-identical. The loads used for
-/// comparisons are cached per server and recomputed only for dirty servers,
-/// with the same `q as f64 / µ` expression the cold sort uses.
-///
-/// # Example
-/// ```
-/// use scd_core::iwl::{sorted_by_load, LoadOrder};
-/// let rates = [2.0, 1.0, 4.0];
-/// let mut queues = [4u64, 1, 2];
-/// let mut order = LoadOrder::new();
-/// order.rebuild(&queues, &rates);
-/// assert_eq!(order.order(), &sorted_by_load(&queues, &rates)[..]);
-/// queues[0] = 0; // server 0 drained
-/// order.repair(&queues, &rates, &[0]);
-/// assert_eq!(order.order(), &sorted_by_load(&queues, &rates)[..]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LoadOrder {
-    /// Server indices sorted by `(load, index)`.
-    order: Vec<usize>,
-    /// Inverse permutation: `pos[order[i]] == i`.
-    pos: Vec<usize>,
-    /// Cached per-server loads `q_s/µ_s` the order is sorted by.
-    loads: Vec<f64>,
-}
-
-impl LoadOrder {
-    /// Creates an empty order; call [`rebuild`](LoadOrder::rebuild) before
-    /// reading it.
-    pub fn new() -> Self {
-        LoadOrder::default()
-    }
-
-    /// Number of servers the order covers.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True before the first rebuild.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// The server indices in non-decreasing `(load, index)` order — directly
-    /// consumable by [`compute_iwl_with_order`].
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// Cold path: full stable sort, reusing all buffers (`O(n log n)`).
-    pub fn rebuild(&mut self, queues: &[u64], rates: &[f64]) {
-        assert_eq!(
-            queues.len(),
-            rates.len(),
-            "queues and rates must have equal length"
-        );
-        let n = queues.len();
-        self.loads.clear();
-        self.loads
-            .extend(queues.iter().zip(rates).map(|(&q, &mu)| q as f64 / mu));
-        sorted_by_load_into(queues, rates, &mut self.order);
-        self.pos.clear();
-        self.pos.resize(n, 0);
-        for (i, &s) in self.order.iter().enumerate() {
-            self.pos[s] = i;
-        }
-    }
-
-    /// Warm path: re-reads the load of every server in `dirty` and restores
-    /// the sort invariant by rotating only the servers whose load actually
-    /// changed into their new slots — `O(k·(log n + d))` for `k` dirty
-    /// servers moving distance `d`, versus the full sort's `O(n log n)`.
-    ///
-    /// `dirty` must list every server whose queue length changed since the
-    /// last `rebuild`/`repair` (the engine's dirty set satisfies this);
-    /// duplicates and unchanged servers are harmless. Falls back to
-    /// [`rebuild`](LoadOrder::rebuild) when the order is uninitialized, the
-    /// cluster size changed, or the dirty set is dense (`k ≥ n/4` — beyond
-    /// that the shifts approach the cost of a sort).
-    ///
-    /// # Panics
-    /// Panics if `queues` and `rates` differ in length or a dirty index is
-    /// out of range while the incremental path runs.
-    pub fn repair(&mut self, queues: &[u64], rates: &[f64], dirty: &[u32]) {
-        assert_eq!(
-            queues.len(),
-            rates.len(),
-            "queues and rates must have equal length"
-        );
-        let n = queues.len();
-        if self.order.len() != n || dirty.len() >= n / 4 {
-            self.rebuild(queues, rates);
-            return;
-        }
-        for &s in dirty {
-            let s = s as usize;
-            let load = queues[s] as f64 / rates[s];
-            if load == self.loads[s] {
-                continue;
-            }
-            // Binary-search the new slot by (load, index) *in place*: the
-            // two halves around `from` are each sorted, so the unique target
-            // slot (composite keys are distinct) falls out of at most two
-            // partition points — no removal, no `O(n)` memmove. The
-            // subrange rotation then shifts exactly the `d` displaced
-            // entries, making the per-server cost `O(log n + d)` — on quiet
-            // rounds loads barely move, so `d` stays tiny and the repair
-            // never touches `O(n)`.
-            let from = self.pos[s];
-            self.loads[s] = load;
-            let left = self.order[..from].partition_point(|&r| (self.loads[r], r) < (load, s));
-            if left < from {
-                // Target precedes `from`: rotate s back into place.
-                self.order[left..=from].rotate_right(1);
-                for i in left..=from {
-                    self.pos[self.order[i]] = i;
-                }
-            } else {
-                // Target is at or after `from`: search the right half (its
-                // indices shift down by one once s conceptually vacates
-                // `from`, which the left rotation below realizes).
-                let to = from
-                    + self.order[from + 1..].partition_point(|&r| (self.loads[r], r) < (load, s));
-                if to > from {
-                    self.order[from..=to].rotate_left(1);
-                    for i in from..=to {
-                        self.pos[self.order[i]] = i;
-                    }
-                }
-            }
-        }
-        // O(k) invariant spot-check around every dirty server (the cold
-        // full-order sweep would cost O(n) per repair even in debug runs at
-        // mean-field scale); the `repaired_order_is_identical_to_the_cold_
-        // sort` test pins down full equality with the stable sort.
-        #[cfg(debug_assertions)]
-        for &s in dirty {
-            let i = self.pos[s as usize];
-            let here = (self.loads[self.order[i]], self.order[i]);
-            if i > 0 {
-                let prev = self.order[i - 1];
-                debug_assert!(
-                    (self.loads[prev], prev) < here,
-                    "load order invariant broken before dirty server {s}"
-                );
-            }
-            if i + 1 < n {
-                let next = self.order[i + 1];
-                debug_assert!(
-                    here < (self.loads[next], next),
-                    "load order invariant broken after dirty server {s}"
-                );
-            }
-        }
-    }
 }
 
 /// Computes the ideal workload given a pre-sorted order (Algorithm 3 proper,
@@ -579,82 +398,10 @@ mod tests {
         }
     }
 
-    /// The incremental order's core guarantee: across long random drifting
-    /// trajectories (including homogeneous clusters with many exact load
-    /// ties), `repair` from the round's dirty set reproduces the cold stable
-    /// sort **exactly** — same permutation, not merely an equivalent one —
-    /// so Algorithm 3 over it is bit-identical to the cold path.
-    #[test]
-    fn repaired_order_is_identical_to_the_cold_sort() {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x10AD);
-        for case in 0..40 {
-            let n = rng.gen_range(1..60);
-            let rates: Vec<f64> = if case % 3 == 0 {
-                vec![rng.gen_range(1..4) as f64; n]
-            } else {
-                (0..n).map(|_| rng.gen_range(0.5..10.0)).collect()
-            };
-            let mut queues: Vec<u64> = (0..n).map(|_| rng.gen_range(0..8)).collect();
-            let mut order = LoadOrder::new();
-            order.rebuild(&queues, &rates);
-            for round in 0..120 {
-                // Dirty a few servers (duplicates + unchanged allowed); every
-                // changed server must be listed.
-                let k = rng.gen_range(0..=n.min(6));
-                let mut dirty: Vec<u32> = (0..k).map(|_| rng.gen_range(0..n) as u32).collect();
-                for &s in dirty.clone().iter() {
-                    if rng.gen_range(0..4) != 0 {
-                        queues[s as usize] = rng.gen_range(0..8);
-                    }
-                }
-                if k > 0 {
-                    dirty.push(dirty[0]);
-                }
-                order.repair(&queues, &rates, &dirty);
-                assert_eq!(
-                    order.order(),
-                    &sorted_by_load(&queues, &rates)[..],
-                    "case {case} round {round}"
-                );
-                let arrivals = rng.gen_range(0.0..40.0);
-                let warm = compute_iwl_with_order(&queues, &rates, arrivals, order.order());
-                let cold = compute_iwl(&queues, &rates, arrivals);
-                assert_eq!(
-                    warm.to_bits(),
-                    cold.to_bits(),
-                    "case {case} round {round}: IWL over the repaired order diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn repair_falls_back_to_rebuild_on_dense_or_stale_input() {
-        let rates = [1.0, 2.0, 4.0, 8.0, 1.0, 2.0, 4.0, 8.0];
-        let mut queues = [5u64, 4, 3, 2, 1, 0, 7, 6];
-        let mut order = LoadOrder::new();
-        // Uninitialized → rebuild despite the empty dirty set.
-        order.repair(&queues, &rates, &[]);
-        assert_eq!(order.order(), &sorted_by_load(&queues, &rates)[..]);
-        assert_eq!(order.len(), 8);
-        assert!(!order.is_empty());
-        // Dense dirty set (≥ n/4) → rebuild path; result identical anyway.
-        for (s, q) in queues.iter_mut().enumerate() {
-            *q = (s as u64 * 3 + 1) % 7;
-        }
-        order.repair(&queues, &rates, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(order.order(), &sorted_by_load(&queues, &rates)[..]);
-        // Cluster-size change → rebuild.
-        order.repair(&[1, 0], &[1.0, 1.0], &[]);
-        assert_eq!(order.order(), &[1, 0]);
-    }
-
     #[test]
     #[should_panic(expected = "equal length")]
-    fn load_order_rejects_mismatched_inputs() {
-        LoadOrder::new().rebuild(&[1, 2], &[1.0]);
+    fn sorted_by_load_rejects_mismatched_inputs() {
+        sorted_by_load(&[1, 2], &[1.0]);
     }
 
     #[test]

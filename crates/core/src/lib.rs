@@ -57,7 +57,7 @@ pub mod stability;
 
 pub use estimator::ArrivalEstimator;
 pub use index::{scan_argmin, TournamentTree};
-pub use iwl::{compute_iwl, ideal_assignment, LoadOrder};
+pub use iwl::{compute_iwl, ideal_assignment};
 pub use policy::{ScdFactory, ScdPolicy};
 pub use solver::{
     compute_probabilities, solve_round_cached, solve_round_into, ScdScratch, ScdSolution,

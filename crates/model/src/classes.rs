@@ -26,8 +26,8 @@
 //!
 //! Classes are emitted in `(q ascending, rate ascending)` order and members
 //! are scattered in server-index order, so the partition is a pure function
-//! of the snapshot: delta-repaired and cold rounds, sharded and unsharded
-//! runs all build bit-identical partitions.
+//! of the snapshot: resumed and uninterrupted, sharded and unsharded runs
+//! all build bit-identical partitions.
 //!
 //! # Viability
 //!
@@ -37,7 +37,7 @@
 //! buys nothing — [`ClassPartition::build`] then reports the round as not
 //! viable and callers fall back to the dense per-server path. The predicate
 //! is a pure function of the snapshot, so the fallback decision is
-//! deterministic and identical across delta/full/sharded replays.
+//! deterministic and identical across resumed and sharded replays.
 
 /// Maximum dense-cell-table size, as a multiple of `n` (plus a small
 /// constant floor so tiny clusters always compress): beyond this the

@@ -241,12 +241,9 @@ pub struct RoundCache {
     loads: Vec<f64>,
     /// Corollary 1 candidate keys `(2q_s + 1)/µ_s` (same reciprocal trick).
     scd_keys: Vec<f64>,
-    /// The queue snapshot the tables were last refreshed from — the change
-    /// detector that lets [`begin_round_delta`](RoundCache::begin_round_delta)
-    /// repair only the servers the engine reports dirty.
+    /// The queue snapshot the tables were last refreshed from; the class
+    /// partition is built from it.
     queues_snapshot: Vec<u64>,
-    /// The demand level the last refresh actually filled tables for.
-    ready_demand: CacheDemand,
     /// Warm-start seeds for the SCD solver (see [`WarmSeeds`]).
     warm: WarmSeeds,
     /// Per-round solver memo (see the module docs). Entries beyond
@@ -309,7 +306,6 @@ impl RoundCache {
             .set(self.round_generation.get().wrapping_add(1));
         self.queues_snapshot.clear();
         self.queues_snapshot.extend_from_slice(queues);
-        self.ready_demand = demand;
         self.loads.clear();
         self.scd_keys.clear();
         if demand < CacheDemand::SolverTables {
@@ -326,79 +322,6 @@ impl RoundCache {
                 .iter()
                 .zip(&self.inv_rates)
                 .map(|(&q, &inv_mu)| (2.0 * q as f64 + 1.0) * inv_mu),
-        );
-    }
-
-    /// Delta refresh: repairs only the servers the engine reports dirty
-    /// instead of refilling every per-round table.
-    ///
-    /// `dirty` must be a superset of the servers whose queue length differs
-    /// from the snapshot of the previous `begin_round*` call (the engine's
-    /// round-to-round dirty set satisfies this by construction; duplicates
-    /// are harmless). The repaired entries are computed with exactly the
-    /// arithmetic of the full refresh over unchanged reciprocals, so a delta
-    /// round is **bit-identical** to [`begin_round_for`] — asserted in debug
-    /// builds by comparing the tracked snapshot against `queues`.
-    ///
-    /// Falls back to the full refresh whenever the incremental invariants do
-    /// not hold: first use, a cluster-size or rate change, or a demand wider
-    /// than the previous refresh filled.
-    ///
-    /// [`begin_round_for`]: RoundCache::begin_round_for
-    ///
-    /// # Panics
-    /// Panics if `queues` and `rates` differ in length or `dirty` names a
-    /// server out of range.
-    pub fn begin_round_delta(
-        &mut self,
-        queues: &[u64],
-        rates: &[f64],
-        dirty: &[u32],
-        demand: CacheDemand,
-    ) {
-        assert_eq!(
-            queues.len(),
-            rates.len(),
-            "queue-length and rate vectors must describe the same cluster"
-        );
-        if self.queues_snapshot.len() != queues.len()
-            || self.rates_snapshot != rates
-            || self.ready_demand != demand
-            || dirty.len() * 2 >= queues.len()
-        {
-            // First use, a cluster change, a demand change (wider demands
-            // need tables the last refresh skipped; narrower demands must
-            // clear tables so out-of-contract reads keep failing loudly) —
-            // or a dirty set dense enough that branchy per-entry repair
-            // costs more than the straight-line full refill.
-            self.begin_round_for(queues, rates, demand);
-            return;
-        }
-        self.memo_live.set(0);
-        self.warm.advance_generation();
-        self.round_generation
-            .set(self.round_generation.get().wrapping_add(1));
-        if demand >= CacheDemand::SolverTables {
-            for &s in dirty {
-                let s = s as usize;
-                let q = queues[s];
-                if self.queues_snapshot[s] == q {
-                    continue;
-                }
-                let inv_mu = self.inv_rates[s];
-                self.loads[s] = q as f64 * inv_mu;
-                self.scd_keys[s] = (2.0 * q as f64 + 1.0) * inv_mu;
-                self.queues_snapshot[s] = q;
-            }
-        } else {
-            for &s in dirty {
-                let s = s as usize;
-                self.queues_snapshot[s] = queues[s];
-            }
-        }
-        debug_assert_eq!(
-            self.queues_snapshot, queues,
-            "dirty set missed a changed server — the engine's delta contract is broken"
         );
     }
 
@@ -603,7 +526,7 @@ impl RoundCache {
     /// shared by every later caller of the round. Returns `None` when the
     /// snapshot is not viable for compression (see the partition's module
     /// docs) or no round has begun — the decision is a pure function of the
-    /// round state, so delta/full/sharded replays agree on it.
+    /// round state, so resumed and sharded replays agree on it.
     pub fn class_partition(&self) -> Option<std::cell::Ref<'_, crate::ClassPartition>> {
         let round = self.round_generation.get();
         if self.classes_generation.get() != round {
@@ -837,79 +760,6 @@ mod tests {
         assert!(cache
             .solver_memo_lookup(SOLVER_MEMO_CAP as f64, 0, &mut out)
             .is_none());
-    }
-
-    #[test]
-    fn delta_refresh_matches_the_full_refresh_bit_for_bit() {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1217);
-        let n = 24usize;
-        let rates: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..12.0)).collect();
-        let mut queues: Vec<u64> = (0..n).map(|_| rng.gen_range(0..20)).collect();
-        let mut delta = RoundCache::new();
-        let mut full = RoundCache::new();
-        delta.begin_round_delta(&queues, &rates, &[], CacheDemand::SolverTables);
-        full.begin_round(&queues, &rates);
-        for _round in 0..200 {
-            // Mutate a few servers; the dirty set lists them (with a
-            // duplicate and an unchanged server to exercise both edges).
-            let k = rng.gen_range(0..5usize);
-            let mut dirty: Vec<u32> = (0..k).map(|_| rng.gen_range(0..n) as u32).collect();
-            for &s in &dirty {
-                queues[s as usize] = rng.gen_range(0..20);
-            }
-            if k > 0 {
-                dirty.push(dirty[0]);
-            }
-            dirty.push(rng.gen_range(0..n) as u32); // possibly unchanged
-            let extra = *dirty.last().unwrap() as usize;
-            let _ = extra;
-            delta.begin_round_delta(&queues, &rates, &dirty, CacheDemand::SolverTables);
-            full.begin_round(&queues, &rates);
-            assert_eq!(delta.loads(), full.loads());
-            assert_eq!(delta.scd_keys(), full.scd_keys());
-            assert_eq!(delta.inv_rates(), full.inv_rates());
-        }
-    }
-
-    #[test]
-    fn delta_refresh_falls_back_on_shape_or_demand_changes() {
-        let mut cache = RoundCache::new();
-        // First use: no snapshot yet → full refresh despite the empty dirty
-        // set.
-        cache.begin_round_delta(&[3, 1], &[2.0, 1.0], &[], CacheDemand::SolverTables);
-        assert_eq!(cache.loads(), &[1.5, 1.0]);
-        // Cluster-size change → full refresh.
-        cache.begin_round_delta(&[1, 1, 1], &[1.0, 2.0, 4.0], &[], CacheDemand::SolverTables);
-        assert_eq!(cache.loads(), &[1.0, 0.5, 0.25]);
-        // A reciprocal-only refresh empties the tables; widening the demand
-        // afterwards must refill them in full.
-        cache.begin_round_delta(
-            &[2, 1, 1],
-            &[1.0, 2.0, 4.0],
-            &[0],
-            CacheDemand::ReciprocalRates,
-        );
-        assert!(cache.loads().is_empty());
-        cache.begin_round_delta(
-            &[4, 1, 1],
-            &[1.0, 2.0, 4.0],
-            &[0],
-            CacheDemand::SolverTables,
-        );
-        assert_eq!(cache.loads(), &[4.0, 0.5, 0.25]);
-    }
-
-    #[test]
-    fn delta_refresh_invalidates_the_solver_memo() {
-        let mut cache = RoundCache::new();
-        cache.begin_round(&[1, 2], &[1.0, 2.0]);
-        cache.solver_memo_store(4.0, 0, 2.0, &[1.0, 0.0]);
-        let mut out = Vec::new();
-        assert!(cache.solver_memo_lookup(4.0, 0, &mut out).is_some());
-        cache.begin_round_delta(&[1, 3], &[1.0, 2.0], &[1], CacheDemand::SolverTables);
-        assert_eq!(cache.solver_memo_lookup(4.0, 0, &mut out), None);
     }
 
     #[test]

@@ -24,21 +24,6 @@ use crate::round_cache::RoundCache;
 /// privately. Policies must treat the cache as an optional accelerator:
 /// decisions have to be bit-identical with and without it.
 ///
-/// # Round-to-round dirty sets
-///
-/// The engine knows *exactly* which servers changed between two consecutive
-/// snapshots: the dispatch targets of the previous round plus the servers
-/// whose queues completed jobs. A context built by the engine carries that
-/// set through [`dirty_servers`](DispatchContext::dirty_servers), so warm
-/// per-round structures (tournament trees over snapshot-derived keys,
-/// incremental sorted orders) can repair a handful of slots instead of
-/// re-deriving all `n` from scratch. Like the cache, the dirty set is a
-/// **pure accelerator**: it is a superset of the servers whose queue length
-/// differs from the previous round's snapshot, consumers may only use it to
-/// skip provably redundant work, and decisions must be bit-identical whether
-/// the set is present (`Some`), absent (`None` — treat every server as
-/// potentially changed), or wider than necessary.
-///
 /// # Example
 /// ```
 /// use scd_model::DispatchContext;
@@ -49,7 +34,6 @@ use crate::round_cache::RoundCache;
 /// assert_eq!(ctx.queue_len(scd_model::ServerId::new(2)), 5);
 /// assert!((ctx.expected_delay(scd_model::ServerId::new(0)) - 0.5).abs() < 1e-12);
 /// assert!(ctx.cache().is_none());
-/// assert!(ctx.dirty_servers().is_none());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct DispatchContext<'a> {
@@ -58,7 +42,6 @@ pub struct DispatchContext<'a> {
     num_dispatchers: usize,
     round: u64,
     cache: Option<&'a RoundCache>,
-    dirty: Option<&'a [u32]>,
     degraded: Option<DegradedView<'a>>,
 }
 
@@ -86,7 +69,6 @@ impl<'a> DispatchContext<'a> {
             num_dispatchers,
             round,
             cache: None,
-            dirty: None,
             degraded: None,
         }
     }
@@ -119,43 +101,6 @@ impl<'a> DispatchContext<'a> {
     /// typically construct contexts without it.
     pub fn cache(&self) -> Option<&'a RoundCache> {
         self.cache
-    }
-
-    /// Attaches the engine's round-to-round dirty set (see the type-level
-    /// docs): the servers whose queue length may differ from the **previous
-    /// round's** snapshot. Every listed index must be a valid server; the
-    /// set is deduplicated but unordered.
-    ///
-    /// # Panics
-    /// Panics in debug builds if any listed server is out of range (release
-    /// builds defer to the consumers' own bounds checks — this runs once
-    /// per round on the engine hot path).
-    pub fn with_dirty(mut self, dirty: &'a [u32]) -> Self {
-        debug_assert!(
-            dirty.iter().all(|&s| (s as usize) < self.rates.len()),
-            "dirty set names a server outside the cluster"
-        );
-        self.dirty = Some(dirty);
-        self
-    }
-
-    /// The servers whose queue length may have changed since the previous
-    /// round's snapshot, when the engine tracked them. `None` means the
-    /// information is unavailable (first round of a run, direct policy
-    /// invocations, or delta tracking disabled) and consumers must treat
-    /// every server as potentially changed.
-    ///
-    /// The set is authoritative in one direction only: a server *not*
-    /// listed is guaranteed unchanged **relative to the previous snapshot**;
-    /// listed servers may or may not have changed. The engine derives the
-    /// set by diffing consecutive snapshots, so it is exact there — in
-    /// particular, a queue that completed as many jobs as it received is
-    /// *not* listed. Consumers that overlay private modifications on a
-    /// snapshot mirror (e.g. a dispatcher's own in-batch placements) must
-    /// therefore re-check those slots themselves; the dirty set only
-    /// describes the engine's queues.
-    pub fn dirty_servers(&self) -> Option<&'a [u32]> {
-        self.dirty
     }
 
     /// Attaches one dispatcher's degraded-information view (availability
@@ -355,17 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_set_round_trips_through_the_context() {
-        let queues = vec![1u64, 2, 3];
-        let rates = vec![1.0; 3];
-        let dirty = vec![2u32, 0];
-        let c = DispatchContext::new(&queues, &rates, 1, 0).with_dirty(&dirty);
-        assert_eq!(c.dirty_servers(), Some(&dirty[..]));
-        // Contexts without the engine's tracking report None.
-        assert_eq!(ctx(&queues, &rates).dirty_servers(), None);
-    }
-
-    #[test]
     fn degraded_view_round_trips_through_the_context() {
         use crate::degraded::{Availability, DegradedView};
         let queues = vec![1u64, 2, 3];
@@ -403,14 +337,5 @@ mod tests {
         let avail = Availability::all_up(3);
         let _ = DispatchContext::new(&queues, &rates, 1, 0)
             .with_degraded(DegradedView::new(&avail, None, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the cluster")]
-    fn out_of_range_dirty_servers_panic() {
-        let queues = vec![1u64, 2];
-        let rates = vec![1.0; 2];
-        let dirty = vec![2u32];
-        let _ = DispatchContext::new(&queues, &rates, 1, 0).with_dirty(&dirty);
     }
 }

@@ -324,51 +324,25 @@ impl BatchArgmin {
 }
 
 /// Round tracker for a policy's persistent mirror of the engine's queue
-/// snapshot (see [`sync_snapshot_mirror`]).
+/// snapshot (see [`sync_snapshot_mirror`]). Not checkpointed: a restored
+/// policy starts unsynced and its first sync runs the same full compare
+/// every round runs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SnapshotSync {
     /// The round whose snapshot the mirror was last synced to.
     synced_round: Option<u64>,
 }
 
-impl SnapshotSync {
-    /// The round the mirror was last synced to, if any. Checkpointed so a
-    /// resumed policy keeps its delta chain: without it the first resumed
-    /// round would take the full compare-and-mark path, which is decision-
-    /// identical but would break the mirror's `touched` overlay accounting.
-    pub fn synced_round(&self) -> Option<u64> {
-        self.synced_round
-    }
-
-    /// Restores the sync point captured by
-    /// [`synced_round`](SnapshotSync::synced_round).
-    pub fn set_synced_round(&mut self, round: Option<u64>) {
-        self.synced_round = round;
-    }
-}
-
-/// Repairs a policy's persistent local mirror of the true queue lengths from
-/// the engine's round-to-round dirty set, marking every changed slot dirty
-/// on the warm `picker`.
+/// Resyncs a policy's persistent local mirror of the true queue lengths to
+/// this round's snapshot, marking every changed slot dirty on the warm
+/// `picker`.
 ///
 /// The mirror invariant this maintains: after syncing at round `t`, `local`
-/// equals the round-`t` snapshot. The policy may then overlay its own
-/// in-batch placements, **recording each touched slot in `touched`**: the
-/// engine's dirty set is the exact snapshot diff, so a slot the policy
-/// inflated whose true length did not change (the server completed as many
-/// jobs as it received) appears in `touched` but not in the dirty set — the
-/// sync re-checks both. The delta path applies only when the context
-/// carries a dirty set *and* the mirror was synced at round `t − 1` (an
-/// unbroken chain); otherwise — first round, direct invocations, delta
-/// tracking disabled, or a skipped round — a full compare-and-mark pass
-/// runs. `touched` is drained either way.
-///
-/// **Dirty availability is invisible to decisions**: both paths mark exactly
-/// the slots whose mirrored value changed (the delta path can do so because
-/// unlisted servers are guaranteed unchanged), neither consumes randomness,
-/// and the warm picker's priority epochs advance identically. Runs with and
-/// without engine delta tracking are therefore bit-identical — the engine
-/// equivalence tests pin this down.
+/// equals the round-`t` snapshot. Between syncs the policy overlays its own
+/// in-batch placements on the mirror; one compare-and-mark pass over all `n`
+/// slots repairs both those and the engine's queue changes. The pass marks
+/// exactly the slots whose mirrored value changed and consumes no
+/// randomness.
 ///
 /// A cluster-size change resets the mirror and invalidates the picker.
 /// Syncing twice in one round (observe + dispatch) is a no-op.
@@ -377,7 +351,6 @@ pub fn sync_snapshot_mirror(
     picker: &mut BatchArgmin,
     sync: &mut SnapshotSync,
     ctx: &DispatchContext<'_>,
-    touched: &mut Vec<u32>,
 ) {
     let queues = ctx.queue_lengths();
     let round = ctx.round();
@@ -385,42 +358,18 @@ pub fn sync_snapshot_mirror(
         local.clear();
         local.extend_from_slice(queues);
         picker.invalidate();
-        touched.clear();
         sync.synced_round = Some(round);
         return;
     }
     if sync.synced_round == Some(round) {
         return;
     }
-    let chained = sync
-        .synced_round
-        .is_some_and(|r| round == r.wrapping_add(1));
-    match ctx.dirty_servers() {
-        Some(dirty) if chained => {
-            for &s in touched.iter().chain(dirty) {
-                let s = s as usize;
-                if local[s] != queues[s] {
-                    local[s] = queues[s];
-                    picker.mark_dirty(s);
-                }
-            }
-            debug_assert_eq!(
-                local.as_slice(),
-                queues,
-                "dirty set + own touched slots missed a change — \
-                 the engine's delta contract is broken"
-            );
-        }
-        _ => {
-            for (s, (mine, &truth)) in local.iter_mut().zip(queues).enumerate() {
-                if *mine != truth {
-                    *mine = truth;
-                    picker.mark_dirty(s);
-                }
-            }
+    for (s, (mine, &truth)) in local.iter_mut().zip(queues).enumerate() {
+        if *mine != truth {
+            *mine = truth;
+            picker.mark_dirty(s);
         }
     }
-    touched.clear();
     sync.synced_round = Some(round);
 }
 

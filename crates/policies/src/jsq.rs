@@ -9,21 +9,17 @@
 //! motivates the paper.
 //!
 //! The repeated shortest-queue queries run over a [`BatchArgmin`] indexed
-//! queue view (tournament tree); since the keys are the *true* queue
-//! lengths, the engine's round-to-round dirty set
-//! ([`DispatchContext::dirty_servers`]) is authoritative for them: the
-//! default configuration keeps one **warm** tree per dispatcher across
-//! rounds and repairs exactly the engine-reported changes plus the slots it
-//! placed jobs on itself (the dirty set is the *exact* snapshot diff, so a
-//! server that completed as many jobs as it received is not listed even
-//! though this dispatcher's mirror inflated it — the policy records its own
-//! placements and re-checks them), instead of rebuilding all `n` keys every
-//! batch.
+//! queue view (tournament tree). The default configuration keeps one
+//! **warm** tree per dispatcher across rounds: each round a compare pass
+//! against the snapshot ([`sync_snapshot_mirror`]) marks the slots whose
+//! key changed — including the ones this dispatcher inflated with its own
+//! placements — and the tree repairs only those, instead of rebuilding all
+//! `n` keys every batch.
 //! The `O(b·n)` scan mode ([`JsqPolicy::scan`]) follows the identical warm
 //! priority lifecycle and picks exactly the same servers for equal seeds;
 //! [`JsqPolicy::per_batch_rebuild`] retains the per-batch-rebuild reference
-//! path (the PR 4 configuration, kept as the bench baseline — it consumes
-//! the RNG differently, so its trajectories differ from the warm default).
+//! path (kept as the bench baseline — it consumes the RNG differently, so
+//! its trajectories differ from the warm default).
 
 use crate::common::{
     mark_availability_flips, sync_snapshot_mirror, ArgminMode, BatchArgmin, NamedFactory,
@@ -39,15 +35,12 @@ use scd_model::{
 pub struct JsqPolicy {
     /// This dispatcher's local view of the queues: the engine snapshot plus
     /// the placements of the current batch. In the warm configuration it
-    /// persists across rounds and is re-synced from the engine's dirty set.
+    /// persists across rounds and is re-synced from each round's snapshot.
     local: Vec<u64>,
     /// The argmin engine (indexed or scan, warm or per-batch).
     picker: BatchArgmin,
     /// Tracks which round's snapshot `local` mirrors (warm path only).
     sync: SnapshotSync,
-    /// Slots this dispatcher placed jobs on in its last batch — re-checked
-    /// at the next sync alongside the engine's dirty set.
-    touched: Vec<u32>,
     /// False only for the per-batch-rebuild reference configuration.
     warm: bool,
 }
@@ -71,13 +64,12 @@ impl JsqPolicy {
             local: Vec::new(),
             picker: BatchArgmin::new(mode),
             sync: SnapshotSync::default(),
-            touched: Vec::new(),
             warm: true,
         }
     }
 
     /// Reverts to the per-batch tree rebuild (fresh priorities and an `O(n)`
-    /// rebuild every batch) — the pre-dirty-set reference configuration kept
+    /// rebuild every batch) — the reference configuration kept
     /// for the engine-throughput baseline. Note: per-batch and warm
     /// configurations consume the RNG differently, so their simulation
     /// trajectories differ (each is internally bit-identical across its own
@@ -95,16 +87,9 @@ impl DispatchPolicy for JsqPolicy {
 
     fn observe_round(&mut self, ctx: &DispatchContext<'_>, _rng: &mut dyn RngCore) {
         if self.warm {
-            // Repair the persistent mirror (and mark the tree) from the
-            // engine's dirty set — including dispatchers whose batch is
-            // empty this round, which keeps the round chain unbroken.
-            sync_snapshot_mirror(
-                &mut self.local,
-                &mut self.picker,
-                &mut self.sync,
-                ctx,
-                &mut self.touched,
-            );
+            // Repair the persistent mirror (and mark the tree) from this
+            // round's snapshot.
+            sync_snapshot_mirror(&mut self.local, &mut self.picker, &mut self.sync, ctx);
             mark_availability_flips(&mut self.picker, ctx);
         }
     }
@@ -142,13 +127,7 @@ impl DispatchPolicy for JsqPolicy {
         if self.warm {
             // No-op when observe_round already synced this round; direct
             // invocations (tests, examples) resync here.
-            sync_snapshot_mirror(
-                &mut self.local,
-                &mut self.picker,
-                &mut self.sync,
-                ctx,
-                &mut self.touched,
-            );
+            sync_snapshot_mirror(&mut self.local, &mut self.picker, &mut self.sync, ctx);
             mark_availability_flips(&mut self.picker, ctx);
             let local = &self.local;
             self.picker.begin_warm(n, |i| masked(i, local[i]), rng);
@@ -163,9 +142,6 @@ impl DispatchPolicy for JsqPolicy {
             let target = self.picker.pick(|i| masked(i, local[i]));
             local[target] += 1;
             self.picker.update(target, masked(target, local[target]));
-            if self.warm {
-                self.touched.push(target as u32);
-            }
             out.push(ServerId::new(target));
         }
     }
@@ -174,14 +150,11 @@ impl DispatchPolicy for JsqPolicy {
         let mut w = StateWriter::new();
         w.u8(u8::from(self.warm));
         if self.warm {
-            // The persistent mirror, its sync point, the unreconciled own
-            // placements, and the warm priority epoch — losing any of these
-            // would change RNG consumption or the mirror overlay after a
-            // resume. (The per-batch configuration rebuilds everything from
-            // the snapshot each batch and needs none of them.)
+            // The persistent mirror and the warm priority epoch — losing
+            // either would change RNG consumption after a resume. (The
+            // per-batch configuration rebuilds everything from the snapshot
+            // each batch and needs neither.)
             w.u64s(&self.local);
-            w.opt_u64(self.sync.synced_round());
-            w.u32s(&self.touched);
             self.picker.save_warm_state(&mut w);
         }
         out.extend_from_slice(&w.into_bytes());
@@ -201,8 +174,7 @@ impl DispatchPolicy for JsqPolicy {
         }
         if warm {
             self.local = r.u64s()?;
-            self.sync.set_synced_round(r.opt_u64()?);
-            self.touched = r.u32s()?;
+            self.sync = SnapshotSync::default();
             self.picker.restore_warm_state(&mut r)?;
         }
         r.finish()
@@ -235,9 +207,9 @@ impl JsqFactory {
         }
     }
 
-    /// Factory for the pre-dirty-set reference: fresh priorities and an
-    /// `O(n)` tree rebuild every batch (the PR 4 dispatch path, kept as the
-    /// engine-throughput baseline).
+    /// Factory for the per-batch-rebuild reference: fresh priorities and an
+    /// `O(n)` tree rebuild every batch, kept as the engine-throughput
+    /// baseline.
     pub fn per_batch_rebuild(mut self) -> Self {
         self.warm = false;
         self
@@ -345,10 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_mirror_follows_engine_style_dirty_sets() {
-        // Simulate the engine's contract across rounds: the dirty set lists
-        // every server whose length changed since the previous snapshot
-        // (including this dispatcher's own placements).
+    fn warm_mirror_follows_consecutive_snapshots() {
+        // Simulate the engine across rounds: the mirror carries this
+        // dispatcher's own placement from round 0 and must still follow the
+        // round-1 snapshot exactly.
         let rates = vec![1.0; 4];
         let mut policy = JsqPolicy::new();
         let mut rng = StdRng::seed_from_u64(3);
@@ -363,8 +335,7 @@ mod tests {
         let mut queues1 = queues0.clone();
         queues1[placed] += 1;
         queues1[3] = 0;
-        let dirty: Vec<u32> = vec![placed as u32, 3];
-        let ctx1 = DispatchContext::new(&queues1, &rates, 1, 1).with_dirty(&dirty);
+        let ctx1 = DispatchContext::new(&queues1, &rates, 1, 1);
         policy.observe_round(&ctx1, &mut rng);
         let out1 = policy.dispatch_batch(&ctx1, 1, &mut rng);
         assert_eq!(out1[0].index(), 3, "the drained server is now shortest");

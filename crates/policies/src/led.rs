@@ -150,8 +150,7 @@ impl DispatchPolicy for LedPolicy {
         // Re-anchor a few entries with the ground truth. Like LSQ, only
         // probes that actually move the estimate dirty the warm tree (LED's
         // keys live on per-dispatcher estimates the engine cannot see, so
-        // the marks are policy-derived, not taken from the context's dirty
-        // set — that set describes the true queues, not this replica).
+        // the marks are policy-derived).
         let n = ctx.num_servers();
         for probe in 0..self.probes_per_round {
             let target = self.probe_target(n, rng);

@@ -169,8 +169,7 @@ impl DispatchPolicy for LsqPolicy {
             // be redundant work (near stationarity most probes confirm).
             // LSQ's keys live on the *local* estimates — per-dispatcher
             // state the engine cannot see — so the policy derives its own
-            // marks rather than consuming `ctx.dirty_servers()` (the dirty
-            // set speaks about the true queues, not about this replica).
+            // marks.
             if self.local[target] != truth {
                 self.local[target] = truth;
                 self.picker.mark_dirty(target);

@@ -7,15 +7,14 @@
 //! excellent; with many dispatchers it herds exactly like JSQ (Section 1.1).
 //!
 //! Like JSQ, the per-job argmin runs over a [`BatchArgmin`] indexed queue
-//! view keyed on the *true* snapshot, so the engine's round-to-round dirty
-//! set ([`DispatchContext::dirty_servers`]) is authoritative for the keys:
-//! the default configuration keeps one **warm** tree per dispatcher across
-//! rounds and repairs exactly the engine-reported changes instead of
-//! rebuilding all `n` keys every batch (the mirror-sync contract lives in
+//! view keyed on the *true* snapshot: the default configuration keeps one
+//! **warm** tree per dispatcher across rounds and repairs only the slots
+//! whose mirrored queue length changed instead of rebuilding all `n` keys
+//! every batch (the mirror-sync contract lives in
 //! [`crate::common::sync_snapshot_mirror`]). [`SedPolicy::scan`] retains the
 //! `O(n)`-per-job reference, which picks exactly the same servers for equal
 //! seeds; [`SedPolicy::per_batch_rebuild`] retains the per-batch-rebuild
-//! PR 4 path as the bench baseline. The expected-delay keys multiply by
+//! path as the bench baseline. The expected-delay keys multiply by
 //! cached reciprocal rates (shared per-round via the engine's
 //! [`scd_model::RoundCache`] when available) instead of dividing per query.
 
@@ -39,9 +38,6 @@ pub struct SedPolicy {
     rates_snapshot: Vec<f64>,
     /// Tracks which round's snapshot `local` mirrors (warm path only).
     sync: SnapshotSync,
-    /// Slots this dispatcher placed jobs on in its last batch — re-checked
-    /// at the next sync alongside the engine's dirty set.
-    touched: Vec<u32>,
     /// False only for the per-batch-rebuild reference configuration.
     warm: bool,
 }
@@ -66,13 +62,12 @@ impl SedPolicy {
             inv_rates: Vec::new(),
             rates_snapshot: Vec::new(),
             sync: SnapshotSync::default(),
-            touched: Vec::new(),
             warm: true,
         }
     }
 
     /// Reverts to the per-batch tree rebuild (fresh priorities and an `O(n)`
-    /// rebuild every batch) — the pre-dirty-set reference configuration kept
+    /// rebuild every batch) — the reference configuration kept
     /// for the engine-throughput baseline. Per-batch and warm configurations
     /// consume the RNG differently, so their trajectories differ.
     pub fn per_batch_rebuild(mut self) -> Self {
@@ -101,13 +96,7 @@ impl DispatchPolicy for SedPolicy {
 
     fn observe_round(&mut self, ctx: &DispatchContext<'_>, _rng: &mut dyn RngCore) {
         if self.warm {
-            sync_snapshot_mirror(
-                &mut self.local,
-                &mut self.picker,
-                &mut self.sync,
-                ctx,
-                &mut self.touched,
-            );
+            sync_snapshot_mirror(&mut self.local, &mut self.picker, &mut self.sync, ctx);
             mark_availability_flips(&mut self.picker, ctx);
         }
     }
@@ -136,13 +125,7 @@ impl DispatchPolicy for SedPolicy {
         if self.warm {
             // No-op when observe_round already synced this round; direct
             // invocations (tests, examples) resync here.
-            sync_snapshot_mirror(
-                &mut self.local,
-                &mut self.picker,
-                &mut self.sync,
-                ctx,
-                &mut self.touched,
-            );
+            sync_snapshot_mirror(&mut self.local, &mut self.picker, &mut self.sync, ctx);
             mark_availability_flips(&mut self.picker, ctx);
         } else {
             self.local.clear();
@@ -175,9 +158,6 @@ impl DispatchPolicy for SedPolicy {
             let target = self.picker.pick(|i| masked(i, local[i]));
             local[target] += 1;
             self.picker.update(target, masked(target, local[target]));
-            if self.warm {
-                self.touched.push(target as u32);
-            }
             out.push(ServerId::new(target));
         }
     }
@@ -186,12 +166,10 @@ impl DispatchPolicy for SedPolicy {
         let mut w = StateWriter::new();
         w.u8(u8::from(self.warm));
         if self.warm {
-            // Mirror + sync point + own placements + warm priority epoch.
-            // The reciprocal-rate tables are derived from static rates and
-            // refresh deterministically, so they are not checkpointed.
+            // Mirror + warm priority epoch. The reciprocal-rate tables are
+            // derived from static rates and refresh deterministically, so
+            // they are not checkpointed.
             w.u64s(&self.local);
-            w.opt_u64(self.sync.synced_round());
-            w.u32s(&self.touched);
             self.picker.save_warm_state(&mut w);
         }
         out.extend_from_slice(&w.into_bytes());
@@ -211,8 +189,7 @@ impl DispatchPolicy for SedPolicy {
         }
         if warm {
             self.local = r.u64s()?;
-            self.sync.set_synced_round(r.opt_u64()?);
-            self.touched = r.u32s()?;
+            self.sync = SnapshotSync::default();
             self.picker.restore_warm_state(&mut r)?;
         }
         r.finish()
@@ -243,9 +220,9 @@ impl SedFactory {
         }
     }
 
-    /// Factory for the pre-dirty-set reference: fresh priorities and an
-    /// `O(n)` tree rebuild every batch (the PR 4 dispatch path, kept as the
-    /// engine-throughput baseline).
+    /// Factory for the per-batch-rebuild reference: fresh priorities and an
+    /// `O(n)` tree rebuild every batch, kept as the engine-throughput
+    /// baseline.
     pub fn per_batch_rebuild(mut self) -> Self {
         self.warm = false;
         self

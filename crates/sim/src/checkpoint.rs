@@ -1,13 +1,15 @@
 //! Engine checkpoints: a serializable snapshot of a mid-run simulation.
 //!
 //! A checkpoint captures everything the round loop cannot re-derive at a
-//! round boundary: the round counter, the RLE segment queues, the previous
-//! round's snapshot (the delta baseline), the exact positions of the three
-//! RNG stream families, every metrics accumulator, the scenario layer's
-//! fault/staleness state, and one opaque state blob per dispatcher policy
+//! round boundary: the round counter, the RLE segment queues, the exact
+//! positions of the three RNG stream families, every metrics accumulator,
+//! the scenario layer's fault/staleness state, and one opaque state blob
+//! per dispatcher policy
 //! (see [`DispatchPolicy::save_state`](scd_model::DispatchPolicy::save_state)).
-//! Warm caches and argmin trees are deliberately **not** captured — they
-//! are pure accelerators, rebuilt on restore from the captured state.
+//! The queue-length snapshot, warm caches and argmin trees are deliberately
+//! **not** captured: every round rewrites the snapshot from the queues
+//! before anything reads it, and the rest are pure accelerators, rebuilt on
+//! restore from the captured state.
 //!
 //! The contract, pinned by the resume tests: a run resumed from a
 //! checkpoint produces a report **bit-identical** to the uninterrupted
@@ -23,7 +25,8 @@ use crate::fabric::codec::{ByteReader, ByteWriter, CodecError};
 use crate::report::DegradationMetrics;
 
 /// Layout version of the serialized checkpoint; bumped on any change.
-const CHECKPOINT_VERSION: u8 = 1;
+/// Version 2 dropped the previous round's queue-length snapshot.
+const CHECKPOINT_VERSION: u8 = 2;
 
 /// Mid-run state of a response-time histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +87,6 @@ pub struct EngineCheckpoint {
     pub(crate) num_servers: usize,
     pub(crate) num_dispatchers: usize,
     pub(crate) queues: Vec<Vec<(u64, u64)>>,
-    pub(crate) snapshot: Vec<u64>,
     pub(crate) arrival_rng: [u64; 4],
     pub(crate) service_rng: [u64; 4],
     pub(crate) policy_rngs: Vec<[u64; 4]>,
@@ -137,7 +139,6 @@ impl EngineCheckpoint {
                 w.u64(count);
             }
         }
-        w.counts(&self.snapshot)?;
         write_rng(&mut w, &self.arrival_rng);
         write_rng(&mut w, &self.service_rng);
         w.len(self.policy_rngs.len())?;
@@ -248,7 +249,6 @@ impl EngineCheckpoint {
             }
             queues.push(segments);
         }
-        let snapshot = r.counts()?;
         let arrival_rng = read_rng(&mut r)?;
         let service_rng = read_rng(&mut r)?;
         let num_policy_rngs = r.len()?;
@@ -362,7 +362,6 @@ impl EngineCheckpoint {
             num_servers,
             num_dispatchers,
             queues,
-            snapshot,
             arrival_rng,
             service_rng,
             policy_rngs,
@@ -428,7 +427,6 @@ mod tests {
             num_servers: 3,
             num_dispatchers: 2,
             queues: vec![vec![(100, 2), (119, 1)], vec![], vec![(118, 5)]],
-            snapshot: vec![3, 0, 5],
             arrival_rng: [1, 2, 3, 4],
             service_rng: [5, 6, 7, 8],
             policy_rngs: vec![[9, 10, 11, 12], [13, 14, 15, 16]],
@@ -514,12 +512,96 @@ mod tests {
             EngineCheckpoint::from_bytes(&bytes).unwrap_err(),
             CodecError::UnsupportedVersion { got: 99 }
         ));
+        // A version-1 checkpoint still carried the previous round's
+        // snapshot after the queues; it is refused by version, before any
+        // of its layout is read.
+        let mut v1 = original.clone();
+        v1[0] = 1;
+        let queues_end = 1 + 8 + 8 + 4 + 4 + 4 + (4 + 2 * 16) + 4 + (4 + 16);
+        let mut snapshot = 3u32.to_le_bytes().to_vec();
+        for len in [3u64, 0, 5] {
+            snapshot.extend_from_slice(&len.to_le_bytes());
+        }
+        v1.splice(queues_end..queues_end, snapshot);
+        assert!(matches!(
+            EngineCheckpoint::from_bytes(&v1).unwrap_err(),
+            CodecError::UnsupportedVersion { got: 1 }
+        ));
         let mut trailing = original;
         trailing.push(0);
         assert!(matches!(
             EngineCheckpoint::from_bytes(&trailing).unwrap_err(),
             CodecError::Malformed(_)
         ));
+    }
+
+    /// A checkpoint's policy blobs are untrusted bytes too: every
+    /// truncation and every flipped byte of a real blob, for every policy
+    /// that checkpoints private state, must be refused as a checkpoint
+    /// error or resume into a clean run — never a panic.
+    #[test]
+    fn corrupt_policy_blobs_are_refused_or_survived() {
+        use crate::{ArrivalSpec, SimConfig, SimError, Simulation};
+        use scd_model::{ClusterSpec, PolicyFactory, StateWriter};
+        use scd_policies::{JsqFactory, LedFactory, LsqFactory, RoundRobinFactory, SedFactory};
+
+        const AT: u64 = 6;
+        let config = SimConfig::builder(ClusterSpec::from_rates(vec![1.0, 2.0, 3.0, 4.0]).unwrap())
+            .dispatchers(2)
+            .rounds(AT + 4)
+            .warmup_rounds(1)
+            .seed(17)
+            .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: 0.9 })
+            .build()
+            .unwrap();
+        let sim = Simulation::new(config).unwrap();
+        let resume_with = |factory: &dyn PolicyFactory, ckpt: &EngineCheckpoint, blob: Vec<u8>| {
+            let mut bad = ckpt.clone();
+            bad.policy_state[0] = blob;
+            let result = sim.resume_from(factory, &bad);
+            assert!(
+                matches!(result, Ok(_) | Err(SimError::Checkpoint(_))),
+                "{}: a corrupt blob produced {result:?}",
+                factory.name()
+            );
+        };
+
+        let factories: Vec<Box<dyn PolicyFactory>> = vec![
+            Box::new(JsqFactory::new()),
+            Box::new(SedFactory::new()),
+            Box::new(LsqFactory::new()),
+            Box::new(LedFactory::new()),
+            Box::new(RoundRobinFactory::new()),
+        ];
+        for factory in &factories {
+            let ckpt = sim.checkpoint(factory.as_ref(), AT).unwrap();
+            let blob = ckpt.policy_state[0].clone();
+            assert!(!blob.is_empty(), "{} saves no state", factory.name());
+            for len in 0..blob.len() {
+                resume_with(factory.as_ref(), &ckpt, blob[..len].to_vec());
+            }
+            for i in 0..blob.len() {
+                let mut flipped = blob.clone();
+                flipped[i] ^= 0xFF;
+                resume_with(factory.as_ref(), &ckpt, flipped);
+            }
+        }
+
+        // A warm JSQ blob in the layout that still carried a sync round and
+        // a list of its own placements, naming server 99 of a 4-server
+        // cluster: warm flag, 4-slot mirror, sync round, placements, then a
+        // well-formed warm picker state.
+        let jsq = JsqFactory::new();
+        let ckpt = sim.checkpoint(&jsq, AT).unwrap();
+        let mut w = StateWriter::new();
+        w.u8(1);
+        w.u64s(&[0; 4]);
+        w.opt_u64(Some(AT - 1));
+        w.u32s(&[99]);
+        w.u8(1);
+        w.u32(1);
+        w.u64s(&[1, 2, 3, 4]);
+        resume_with(&jsq, &ckpt, w.into_bytes());
     }
 
     #[test]

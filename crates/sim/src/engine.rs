@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scd_metrics::{DecisionTimeHistogram, QueueLengthTracker, ResponseTimeHistogram};
 use scd_model::{
-    policy::validate_assignment, Availability, CacheDemand, DegradedView, DispatchContext,
-    DispatcherId, ModelError, PolicyFactory, ProbeLossOracle, RoundCache, ServerId,
+    Availability, CacheDemand, DegradedView, DispatchContext, DispatcherId, ModelError,
+    PolicyFactory, ProbeLossOracle, RoundCache, ServerId,
 };
 use std::error::Error;
 use std::fmt;
@@ -141,12 +141,6 @@ struct ScenarioRound<'a> {
     /// Per-dispatcher effective view age for this round (already clamped to
     /// `round`, so the ring lookup never reaches before round 0).
     k_effs: &'a [u64],
-    /// Whether each dispatcher's *previous* round view was stale — a
-    /// dispatcher returning to a fresh view must not trust the one-round
-    /// dirty diff, since its own last-seen view was older.
-    stale_prev: &'a [bool],
-    /// This round's dirty set, attachable only to fresh-view dispatchers.
-    dirty: Option<&'a [u32]>,
     /// The shared per-round cache, refreshed from this round's *fresh*
     /// snapshot — attachable only to dispatchers whose effective view *is*
     /// that snapshot (`k_eff == 0`). Stale-view dispatchers must not see
@@ -173,7 +167,7 @@ impl<'a> ScenarioRound<'a> {
         // `ctx.round()` stays the *current* round even for stale views:
         // policies time-stamp their internal state with it, and the view age
         // is an information defect, not time travel.
-        let ctx = match self.cache {
+        match self.cache {
             // Fresh view: the shared cache describes exactly this snapshot,
             // so cache-backed dispatch kernels stay bit-identical to the
             // fair-weather path (the `k = 0` scenario equivalence test pins
@@ -183,11 +177,7 @@ impl<'a> ScenarioRound<'a> {
             }
             _ => DispatchContext::new(view, self.rates, self.m, self.round),
         }
-        .with_degraded(DegradedView::new(self.avail, self.oracle, d));
-        match self.dirty {
-            Some(dirty) if k_eff == 0 && !self.stale_prev[d] => ctx.with_dirty(dirty),
-            _ => ctx,
-        }
+        .with_degraded(DegradedView::new(self.avail, self.oracle, d))
     }
 }
 
@@ -196,9 +186,6 @@ impl<'a> ScenarioRound<'a> {
 #[derive(Debug, Clone)]
 pub struct Simulation {
     config: SimConfig,
-    /// Whether the round loop tracks round-to-round dirty sets and hands
-    /// them to policies/caches (see [`Simulation::with_delta_rounds`]).
-    delta_rounds: bool,
 }
 
 impl Simulation {
@@ -235,30 +222,12 @@ impl Simulation {
             config.rounds,
             config.spec.total_rate(),
         )?;
-        Ok(Simulation {
-            config,
-            delta_rounds: true,
-        })
+        Ok(Simulation { config })
     }
 
     /// The configuration this simulation runs.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Enables or disables round-to-round delta tracking (default: enabled).
-    ///
-    /// With deltas enabled the engine collects each round's dirty set — the
-    /// dispatch targets plus the servers whose queues completed jobs — and
-    /// exposes it through [`DispatchContext::dirty_servers`] and the
-    /// [`RoundCache`] delta refresh, so warm per-round structures repair
-    /// only what changed. The dirty set is a **pure accelerator**: reports
-    /// are bit-identical for either setting (pinned by the engine
-    /// equivalence tests); disabling it reconstructs the PR 4 round loop
-    /// for apples-to-apples benchmarking.
-    pub fn with_delta_rounds(mut self, enabled: bool) -> Self {
-        self.delta_rounds = enabled;
-        self
     }
 
     /// Runs the configured system under the given policy and collects the
@@ -457,22 +426,12 @@ impl Simulation {
         let mut snapshot: Vec<u64> = vec![0; n];
         let mut arrivals: Vec<u64> = Vec::with_capacity(m);
         let mut assignment: Vec<ServerId> = Vec::new();
-        // Round-to-round dirty tracking (`with_delta_rounds`): `dirty` lists
-        // the servers whose queue length changed between the previous
-        // round's snapshot and this one's. The engine computes it **inside
-        // the snapshot pass it already performs** — one compare per server
-        // against the old snapshot value — so the set is exact (dispatch
-        // targets ∪ servers with completions, minus no-net-change servers),
-        // deduplicated, ascending, and costs one branch per server.
-        let track_deltas = self.delta_rounds;
-        let mut dirty: Vec<u32> = Vec::new();
-        // Delta mode dispatches in ascending batch-size order (engine-known
-        // before any dispatch): consecutive SCD estimates `m·a(d)` then
-        // differ minimally, which is exactly what the solver's in-round
-        // warm seeds want. Order is decision-invisible — each dispatcher
-        // owns its RNG stream and sees the same snapshot, and same-round
-        // pushes merge per server — so reports are bit-identical to the
-        // `0..m` order (pinned by the delta on/off equivalence tests).
+        // Dispatchers run in ascending batch-size order (engine-known before
+        // any dispatch): consecutive SCD estimates `m·a(d)` then differ
+        // minimally, which is exactly what the solver's in-round warm seeds
+        // want. Order is decision-invisible — each dispatcher owns its RNG
+        // stream and sees the same snapshot, and same-round pushes merge per
+        // server — so reports are bit-identical to the `0..m` order.
         let mut dispatch_order: Vec<u32> = (0..m as u32).collect();
         // Shared per-round compute cache: derived tables (reciprocal rates,
         // loads, solver keys) are identical across the m dispatchers of a
@@ -578,7 +537,6 @@ impl Simulation {
         let mut avail = Availability::all_up(scn_len(n));
         let mut dispatcher_up: Vec<bool> = vec![true; scn_len(m)];
         let mut k_effs: Vec<u64> = vec![0; scn_len(m)];
-        let mut stale_prev: Vec<bool> = vec![false; scn_len(m)];
         // Herding detector scratch: jobs received per server this round,
         // cleared sparsely through the touched list.
         let mut recv_counts: Vec<u64> = vec![0; scn_len(n)];
@@ -617,10 +575,7 @@ impl Simulation {
                     ckpt.num_servers, ckpt.num_dispatchers
                 ));
             }
-            if ckpt.queues.len() != n
-                || ckpt.snapshot.len() != n
-                || ckpt.policy_rngs.len() != m
-                || ckpt.policy_state.len() != m
+            if ckpt.queues.len() != n || ckpt.policy_rngs.len() != m || ckpt.policy_state.len() != m
             {
                 return mismatch("per-server / per-dispatcher vector widths disagree");
             }
@@ -629,7 +584,6 @@ impl Simulation {
                     queue.push(arrival_round, count);
                 }
             }
-            snapshot.copy_from_slice(&ckpt.snapshot);
             arrival_rng = StdRng::from_state(ckpt.arrival_rng);
             service_rng = StdRng::from_state(ckpt.service_rng);
             for (rng, &state) in policy_rngs.iter_mut().zip(&ckpt.policy_rngs) {
@@ -718,12 +672,6 @@ impl Simulation {
         } else {
             0
         };
-        // The per-round cache carries no decision-relevant state of its own,
-        // but its delta refresh assumes it described the previous round's
-        // snapshot — untrue on the first resumed round, which therefore
-        // rebuilds in full (bit-identical, like every full-vs-delta rebuild).
-        let mut cache_needs_full = resume.is_some();
-
         let warmup = config.warmup_rounds;
 
         for round in start_round..config.rounds {
@@ -738,7 +686,6 @@ impl Simulation {
                         num_servers: n,
                         num_dispatchers: m,
                         queues: queues.iter().map(|q| q.segments().collect()).collect(),
-                        snapshot: snapshot.clone(),
                         arrival_rng: arrival_rng.state(),
                         service_rng: service_rng.state(),
                         policy_rngs: policy_rngs.iter().map(|rng| rng.state()).collect(),
@@ -841,10 +788,8 @@ impl Simulation {
                 degradation.dispatcher_offline_rounds +=
                     dispatcher_up.iter().filter(|&&up| !up).count() as u64;
                 // Each dispatcher's view age for this round, clamped to the
-                // history that exists. `stale_prev` is recorded before the
-                // overwrite — see `ScenarioRound::stale_prev`.
+                // history that exists.
                 for d in 0..m {
-                    stale_prev[d] = k_effs[d] > 0;
                     let k = match scenario.staleness {
                         StalenessSpec::Fresh => 0,
                         StalenessSpec::Fixed { k } => k,
@@ -863,22 +808,9 @@ impl Simulation {
                     }
                 }
             }
-            // The queue-length snapshot every dispatcher observes this
-            // round; with delta tracking the same pass diffs it against the
-            // previous round's values to produce the dirty set.
-            if track_deltas {
-                dirty.clear();
-                for (s, (slot, queue)) in snapshot.iter_mut().zip(&queues).enumerate() {
-                    let len = queue.len();
-                    if *slot != len {
-                        *slot = len;
-                        dirty.push(s as u32);
-                    }
-                }
-            } else {
-                for (slot, queue) in snapshot.iter_mut().zip(&queues) {
-                    *slot = queue.len();
-                }
+            // The queue-length snapshot every dispatcher observes this round.
+            for (slot, queue) in snapshot.iter_mut().zip(&queues) {
+                *slot = queue.len();
             }
             if measured_round {
                 tracker.observe(&snapshot);
@@ -886,8 +818,6 @@ impl Simulation {
             if let Some(ring) = ring.as_mut() {
                 ring[(round as usize) % ring_depth].copy_from_slice(&snapshot);
             }
-            // Round 0 has no predecessor snapshot, so no delta information.
-            let have_deltas = track_deltas && round > 0;
             // Fair-weather fast path: one context (and one shared cache
             // refresh) serves every dispatcher. Under an active scenario
             // each dispatcher builds its own context (stale views differ
@@ -897,31 +827,23 @@ impl Simulation {
             // The cache is refreshed whenever a policy wants it — also under
             // an active scenario, where it describes this round's *fresh*
             // snapshot and is attached only to fresh-view dispatchers
-            // (`ScenarioRound::ctx`). Scenario rounds always rebuild in
-            // full: the dirty diff describes the fair-weather bookkeeping,
-            // and delta repair vs. full rebuild is bit-identical anyway.
+            // (`ScenarioRound::ctx`).
             let cache_ready = cache_demand > CacheDemand::None;
             if cache_ready {
-                if have_deltas && !scn_active && !cache_needs_full {
-                    round_cache.begin_round_delta(&snapshot, rates, &dirty, cache_demand);
-                } else {
-                    round_cache.begin_round_for(&snapshot, rates, cache_demand);
-                }
+                round_cache.begin_round_for(&snapshot, rates, cache_demand);
             }
-            cache_needs_full = false;
             let shared_ctx: Option<DispatchContext<'_>> = if scn_active {
                 None
+            } else if cache_ready {
+                Some(DispatchContext::with_cache(
+                    &snapshot,
+                    rates,
+                    m,
+                    round,
+                    &round_cache,
+                ))
             } else {
-                let ctx = if cache_ready {
-                    DispatchContext::with_cache(&snapshot, rates, m, round, &round_cache)
-                } else {
-                    DispatchContext::new(&snapshot, rates, m, round)
-                };
-                Some(if have_deltas {
-                    ctx.with_dirty(&dirty)
-                } else {
-                    ctx
-                })
+                Some(DispatchContext::new(&snapshot, rates, m, round))
             };
             let scn_round: Option<ScenarioRound<'_>> = if scn_active {
                 Some(ScenarioRound {
@@ -929,8 +851,6 @@ impl Simulation {
                     snapshot: &snapshot,
                     ring: ring.as_deref(),
                     k_effs: &k_effs,
-                    stale_prev: &stale_prev,
-                    dirty: if have_deltas { Some(&dirty) } else { None },
                     cache: if cache_ready {
                         Some(&round_cache)
                     } else {
@@ -998,11 +918,7 @@ impl Simulation {
                 let ctx = ctx_for(d);
                 policies[d].observe_round(&ctx, &mut policy_rngs[d]);
             }
-            if track_deltas {
-                dispatch_order.sort_unstable_by_key(|&d| (arrivals[d as usize], d));
-            }
-            // Without delta tracking `dispatch_order` stays `0..m` — the
-            // PR 4 iteration order.
+            dispatch_order.sort_unstable_by_key(|&d| (arrivals[d as usize], d));
             for &d in &dispatch_order {
                 let d = d as usize;
                 let batch = arrivals[d] as usize;
@@ -1034,98 +950,61 @@ impl Simulation {
                         );
                     }
                 }
-                if track_deltas {
-                    // Fused validate + coalesced push: a policy violation
-                    // aborts the whole run (partial pushes are discarded
-                    // with it), so validation and enqueueing can share one
-                    // pass, with the same error semantics as
-                    // `validate_assignment` (arity first, then the first
-                    // out-of-range destination in order). Same-server runs
-                    // collapse into one RLE segment push each — identical
-                    // queue state, since same-round pushes merge inside the
-                    // segment anyway. (Runs rather than full per-batch
-                    // counts on purpose: a scatter/gather count pass
-                    // measured *slower* than the back-merges it saves for
-                    // spread-out assignments like SCD's alias draws.)
-                    let violation = |source| SimError::PolicyViolation {
-                        policy: factory.name().to_string(),
-                        dispatcher: d,
-                        source,
-                    };
-                    if assignment.len() != batch {
-                        return Err(violation(ModelError::AssignmentArity {
-                            got: assignment.len(),
-                            expected: batch,
+                // Fused validate + coalesced push: a policy violation
+                // aborts the whole run (partial pushes are discarded
+                // with it), so validation and enqueueing can share one
+                // pass, with the same error semantics as
+                // `validate_assignment` (arity first, then the first
+                // out-of-range destination in order). Same-server runs
+                // collapse into one RLE segment push each — identical
+                // queue state, since same-round pushes merge inside the
+                // segment anyway. (Runs rather than full per-batch
+                // counts on purpose: a scatter/gather count pass
+                // measured *slower* than the back-merges it saves for
+                // spread-out assignments like SCD's alias draws.)
+                let violation = |source| SimError::PolicyViolation {
+                    policy: factory.name().to_string(),
+                    dispatcher: d,
+                    source,
+                };
+                if assignment.len() != batch {
+                    return Err(violation(ModelError::AssignmentArity {
+                        got: assignment.len(),
+                        expected: batch,
+                    }));
+                }
+                let mut i = 0;
+                while i < assignment.len() {
+                    let server = assignment[i];
+                    if server.index() >= n {
+                        return Err(violation(ModelError::UnknownServer {
+                            server: server.index(),
+                            num_servers: n,
                         }));
                     }
-                    let mut i = 0;
-                    while i < assignment.len() {
-                        let server = assignment[i];
-                        if server.index() >= n {
-                            return Err(violation(ModelError::UnknownServer {
-                                server: server.index(),
-                                num_servers: n,
-                            }));
-                        }
-                        if scn_active && !avail.is_up(server.index()) {
-                            return Err(violation(ModelError::ServerDown {
-                                server: server.index(),
-                            }));
-                        }
-                        let mut count = 1u64;
-                        while i + (count as usize) < assignment.len()
-                            && assignment[i + count as usize] == server
-                        {
-                            count += 1;
-                        }
-                        queues[server.index()].push(round, count);
-                        if let Some(trace) = trace.as_deref_mut() {
-                            trace.record_dispatch(round, d as u32, server.index() as u32, count);
-                        }
-                        if scn_active {
-                            let slot = server.index();
-                            if recv_counts[slot] == 0 {
-                                recv_touched.push(slot as u32);
-                            }
-                            recv_counts[slot] += count;
-                        }
-                        i += count as usize;
+                    if scn_active && !avail.is_up(server.index()) {
+                        return Err(violation(ModelError::ServerDown {
+                            server: server.index(),
+                        }));
                     }
-                } else {
-                    // The PR 4-faithful loop: validation pass, then one
-                    // push per job (same queue state — same-round pushes
-                    // merge inside the segment).
-                    validate_assignment(&assignment, batch, n).map_err(|source| {
-                        SimError::PolicyViolation {
-                            policy: factory.name().to_string(),
-                            dispatcher: d,
-                            source,
-                        }
-                    })?;
+                    let mut count = 1u64;
+                    while i + (count as usize) < assignment.len()
+                        && assignment[i + count as usize] == server
+                    {
+                        count += 1;
+                    }
+                    queues[server.index()].push(round, count);
+                    if let Some(trace) = trace.as_deref_mut() {
+                        trace.record_dispatch(round, d as u32, server.index() as u32, count);
+                    }
                     if scn_active {
-                        if let Some(&bad) = assignment.iter().find(|s| !avail.is_up(s.index())) {
-                            return Err(SimError::PolicyViolation {
-                                policy: factory.name().to_string(),
-                                dispatcher: d,
-                                source: ModelError::ServerDown {
-                                    server: bad.index(),
-                                },
-                            });
+                        let slot = server.index();
+                        if recv_counts[slot] == 0 {
+                            recv_touched.push(slot as u32);
                         }
+                        recv_counts[slot] += count;
                     }
-                    for &server in &assignment {
-                        queues[server.index()].push(round, 1);
-                        if let Some(trace) = trace.as_deref_mut() {
-                            trace.record_dispatch(round, d as u32, server.index() as u32, 1);
-                        }
-                        if scn_active {
-                            let slot = server.index();
-                            if recv_counts[slot] == 0 {
-                                recv_touched.push(slot as u32);
-                            }
-                            recv_counts[slot] += 1;
-                        }
-                    }
+                    i += count as usize;
                 }
                 if measured_round {
                     jobs_dispatched += batch as u64;

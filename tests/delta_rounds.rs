@@ -1,16 +1,15 @@
-//! Equivalence guarantees of the delta-aware round machinery (PR 5).
+//! Equivalence guarantees of the state the round engine keeps warm across
+//! rounds.
 //!
-//! The engine's round-to-round dirty sets, the `RoundCache` delta refresh,
-//! the warm-started SCD solver and the dirty-set-driven warm JSQ/SED trees
-//! are all **pure accelerators**: for equal seeds they must change costs,
-//! never choices. These tests pin that down at the report level — bitwise
+//! The warm-started SCD solver, the ascending-batch dispatch order and the
+//! warm JSQ/SED trees (resynced from each round's snapshot) are all **pure
+//! accelerators**: for equal seeds they must change costs, never choices. These tests pin that down at the report level — bitwise
 //! `SimReport` equality — across randomized multi-round configurations, in
 //! both `Simulation::run` and `ShardedSimulation` (k ∈ {1, 2, 4}), and
 //! across policy switches mid-suite (interleaved warm/cold runs sharing
 //! nothing but the configuration).
 
 use scd::prelude::*;
-use scd_policies::LedFactory;
 
 fn config(n: usize, m: usize, load: f64, rounds: u64, seed: u64, homogeneous: bool) -> SimConfig {
     let rates: Vec<f64> = if homogeneous {
@@ -55,39 +54,7 @@ fn warm_and_cold_scd_runs_are_bit_identical() {
     }
 }
 
-/// Disabling the engine's delta tracking (the PR 4-faithful round loop) must
-/// be invisible to every policy: dirty sets, the cache delta refresh and the
-/// per-batch push coalescing change costs only.
-#[test]
-fn delta_tracking_on_and_off_produce_identical_reports() {
-    let factories: Vec<Box<dyn PolicyFactory>> = vec![
-        Box::new(ScdFactory::new()),
-        Box::new(JsqFactory::new()),
-        Box::new(SedFactory::new()),
-        Box::new(LsqFactory::new()),
-        Box::new(LsqFactory::heterogeneous()),
-        Box::new(LedFactory::new()),
-        Box::new(TwfFactory::new()),
-        Box::new(WeightedRandomFactory::new()),
-    ];
-    for seed in [3u64, 11] {
-        let cfg = config(24, 5, 0.92, 1_000, seed, false);
-        let with_deltas = Simulation::new(cfg.clone()).unwrap();
-        let without = Simulation::new(cfg).unwrap().with_delta_rounds(false);
-        for factory in &factories {
-            let a = with_deltas.run(factory.as_ref()).unwrap();
-            let b = without.run(factory.as_ref()).unwrap();
-            assert_eq!(
-                a,
-                b,
-                "seed {seed}: delta tracking changed {}'s trajectory",
-                factory.name()
-            );
-        }
-    }
-}
-
-/// The warm JSQ/SED trees repaired from the engine's dirty set must agree
+/// The warm JSQ/SED trees resynced from each round's snapshot must agree
 /// bit for bit with their scan oracles (which share the warm priority
 /// lifecycle but re-scan every pick), over full simulations.
 #[test]
@@ -104,7 +71,7 @@ fn warm_jsq_sed_match_their_scan_oracles() {
 }
 
 /// Warm-vs-cold equivalence under the sharded engine: each shard runs its
-/// own delta-tracked round loop with its own caches and seeds, so the
+/// own round loop with its own caches and seeds, so the
 /// guarantee must hold for every shard count — including k = 1, which is
 /// additionally pinned to the unsharded engine elsewhere.
 #[test]
@@ -161,8 +128,9 @@ fn suite_config() -> SimConfig {
 /// Direct-invocation safety: a warm policy driven without `observe_round`
 /// (as tests and examples do) and one driven through the engine contract
 /// must both stay internally consistent; here we pin the contract
-/// documented on `DispatchPolicy` — dispatch_batch and dispatch_into agree
-/// for warm JSQ across consecutive synthetic rounds with dirty sets.
+/// documented on `DispatchPolicy` — warm JSQ picks the same servers and
+/// draws the same randomness with or without `observe_round`, across
+/// consecutive synthetic rounds.
 #[test]
 fn warm_jsq_direct_use_matches_engine_style_use() {
     use rand::rngs::StdRng;
@@ -173,48 +141,27 @@ fn warm_jsq_direct_use_matches_engine_style_use() {
     let mut engine_style = scd_policies::jsq::JsqPolicy::new();
     let mut rng_a = StdRng::seed_from_u64(99);
     let mut rng_b = StdRng::seed_from_u64(99);
-    let mut dirty: Vec<u32> = Vec::new();
     for round in 0..200u64 {
-        let ctx_plain = DispatchContext::new(&queues, &rates, 2, round);
-        let ctx_dirty = if round == 0 {
-            DispatchContext::new(&queues, &rates, 2, round)
-        } else {
-            DispatchContext::new(&queues, &rates, 2, round).with_dirty(&dirty)
-        };
-        // Engine style: observe every round, dirty set provided.
-        engine_style.observe_round(&ctx_dirty, &mut rng_b);
+        let ctx = DispatchContext::new(&queues, &rates, 2, round);
+        // Engine style: observe every round before dispatching.
+        engine_style.observe_round(&ctx, &mut rng_b);
         let batch = (round % 4) as usize;
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
-        direct.dispatch_into(&ctx_plain, batch, &mut out_a, &mut rng_a);
-        engine_style.dispatch_into(&ctx_dirty, batch, &mut out_b, &mut rng_b);
-        assert_eq!(
-            out_a, out_b,
-            "round {round}: dirty availability changed picks"
-        );
+        direct.dispatch_into(&ctx, batch, &mut out_a, &mut rng_a);
+        engine_style.dispatch_into(&ctx, batch, &mut out_b, &mut rng_b);
+        assert_eq!(out_a, out_b, "round {round}: observe_round changed picks");
         assert_eq!(
             rng_a.next_u64(),
             rng_b.next_u64(),
             "round {round}: RNG drift"
         );
         // Evolve the queues like an engine round would: placements + a
-        // deterministic departure pattern; record the dirty set.
-        dirty.clear();
-        let mut flags = vec![false; queues.len()];
+        // deterministic departure pattern.
         for s in out_a.iter().map(|s| s.index()) {
             queues[s] += 1;
-            if !flags[s] {
-                flags[s] = true;
-                dirty.push(s as u32);
-            }
         }
         let drain = (round % queues.len() as u64) as usize;
-        if queues[drain] > 0 {
-            queues[drain] -= 1;
-            if !flags[drain] {
-                flags[drain] = true;
-                dirty.push(drain as u32);
-            }
-        }
+        queues[drain] = queues[drain].saturating_sub(1);
     }
 }

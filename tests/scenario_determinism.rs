@@ -14,9 +14,7 @@
 //!    degradation schedule (`server_down_rounds`,
 //!    `dispatcher_offline_rounds`, `stale_decision_rounds`,
 //!    `probes_dropped`) for every shard count, because fault draws key on
-//!    **global** server/dispatcher ids and are independent of queue state;
-//! 4. the engine's delta tracking stays a pure accelerator under active
-//!    faults (reports equal with tracking on and off).
+//!    **global** server/dispatcher ids and are independent of queue state.
 
 use scd::prelude::*;
 use scd_policies::LedFactory;
@@ -201,27 +199,6 @@ fn sharded_runs_reproduce_the_global_fault_schedule() {
                 }
             }
         }
-    }
-}
-
-/// Under active faults the delta-tracked and delta-free round loops must
-/// still agree bit for bit: availability masks change *decisions*, dirty
-/// sets never do.
-#[test]
-fn delta_tracking_stays_invisible_under_active_faults() {
-    let (_, scenario) = scenarios().remove(3);
-    for factory in registry_factories() {
-        let cfg = config(20, 5, 11, scenario.clone());
-        let with_deltas = Simulation::new(cfg.clone()).unwrap();
-        let without = Simulation::new(cfg).unwrap().with_delta_rounds(false);
-        let a = with_deltas.run(factory.as_ref()).unwrap();
-        let b = without.run(factory.as_ref()).unwrap();
-        assert_eq!(
-            a,
-            b,
-            "{}: delta tracking changed a degraded trajectory",
-            factory.name()
-        );
     }
 }
 
