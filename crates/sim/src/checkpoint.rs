@@ -219,9 +219,13 @@ impl EngineCheckpoint {
     /// Deserializes a checkpoint produced by
     /// [`to_bytes`](EngineCheckpoint::to_bytes).
     ///
-    /// Strict: unknown layout versions, truncation, invalid tag bytes and
-    /// trailing bytes are all rejected. Cross-field consistency (vector
-    /// widths against the resuming configuration) is checked by
+    /// Strict: unknown layout versions, truncation, invalid tag bytes,
+    /// trailing bytes and queue segments the engine cannot have produced
+    /// (an empty segment, arrival rounds that do not strictly increase or
+    /// do not precede the checkpoint round, counts whose sum overflows)
+    /// are all rejected. Cross-field
+    /// consistency (vector widths against the resuming configuration) is
+    /// checked by
     /// [`Simulation::resume_from`](crate::Simulation::resume_from), not
     /// here.
     ///
@@ -249,6 +253,7 @@ impl EngineCheckpoint {
             }
             queues.push(segments);
         }
+        check_queue_segments(round, &queues).map_err(CodecError::Malformed)?;
         let arrival_rng = read_rng(&mut r)?;
         let service_rng = read_rng(&mut r)?;
         let num_policy_rngs = r.len()?;
@@ -374,6 +379,46 @@ impl EngineCheckpoint {
             policy_state,
         })
     }
+}
+
+/// Checks that `queues` is a queue state the round engine can hold at the
+/// boundary of round `round`: every segment holds at least one job, each
+/// queue's arrival rounds strictly increase (same-round arrivals always
+/// merge into one segment) and lie before `round`, and the counts summed
+/// over every queue fit in a `u64` (so no queue length and no backlog
+/// total can overflow). Resuming from anything else would corrupt the
+/// queues' FIFO order or response times instead of failing.
+///
+/// # Errors
+/// A message naming the first offending server.
+pub(crate) fn check_queue_segments(round: u64, queues: &[Vec<(u64, u64)>]) -> Result<(), String> {
+    let mut total = 0u64;
+    for (server, segments) in queues.iter().enumerate() {
+        let mut previous: Option<u64> = None;
+        for &(arrival_round, count) in segments {
+            if count == 0 {
+                return Err(format!(
+                    "queue {server} has an empty segment for round {arrival_round}"
+                ));
+            }
+            if arrival_round >= round {
+                return Err(format!(
+                    "queue {server} holds jobs arriving in round {arrival_round}, \
+                     not before the checkpoint round {round}"
+                ));
+            }
+            if previous.is_some_and(|p| p >= arrival_round) {
+                return Err(format!(
+                    "queue {server} arrival rounds are not strictly increasing at {arrival_round}"
+                ));
+            }
+            previous = Some(arrival_round);
+            total = total
+                .checked_add(count)
+                .ok_or_else(|| format!("queued job counts overflow at queue {server}"))?;
+        }
+    }
+    Ok(())
 }
 
 fn write_rng(w: &mut ByteWriter, state: &[u64; 4]) {
@@ -602,6 +647,52 @@ mod tests {
         w.u32(1);
         w.u64s(&[1, 2, 3, 4]);
         resume_with(&jsq, &ckpt, w.into_bytes());
+    }
+
+    /// Queue segments the engine cannot produce — an arrival round in the
+    /// future, rounds out of order, a queue length past `u64::MAX`, an
+    /// empty segment, a backlog total past `u64::MAX` — are refused by the
+    /// decoder and again by resume, never pushed into the queues.
+    #[test]
+    fn malformed_queue_segments_are_refused() {
+        use crate::{ArrivalSpec, SimConfig, SimError, Simulation};
+        use scd_model::ClusterSpec;
+        use scd_policies::JsqFactory;
+
+        const AT: u64 = 6;
+        let config = SimConfig::builder(ClusterSpec::from_rates(vec![1.0, 2.0, 3.0, 4.0]).unwrap())
+            .dispatchers(2)
+            .rounds(AT + 4)
+            .warmup_rounds(1)
+            .seed(17)
+            .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: 0.9 })
+            .build()
+            .unwrap();
+        let sim = Simulation::new(config).unwrap();
+        let jsq = JsqFactory::new();
+        let ckpt = sim.checkpoint(&jsq, AT).unwrap();
+        let cases: [&[Vec<(u64, u64)>]; 6] = [
+            &[vec![(106, 3)]],
+            &[vec![(4, 1), (2, 1)]],
+            &[vec![(1, u64::MAX), (2, 5)]],
+            &[vec![(2, 0)]],
+            &[vec![(AT, 1)]],
+            &[vec![(1, u64::MAX)], vec![(1, 1)], vec![], vec![]],
+        ];
+        for queues in cases {
+            let mut bad = ckpt.clone();
+            bad.queues[..queues.len()].clone_from_slice(queues);
+            let resumed = sim.resume_from(&jsq, &bad);
+            assert!(
+                matches!(resumed, Err(SimError::Checkpoint(_))),
+                "{queues:?}: resume gave {resumed:?}"
+            );
+            let decoded = EngineCheckpoint::from_bytes(&bad.to_bytes().unwrap());
+            assert!(
+                matches!(decoded, Err(CodecError::Malformed(_))),
+                "{queues:?}: decode gave {decoded:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The engine only needs each queued job's *arrival round* to compute its
 //! response time, and all jobs that join a server in the same round are
 //! interchangeable. Storing one `(arrival_round, count)` segment per round
-//! instead of one entry per job makes the dispatch and departure phases cost
+//! instead of one entry per job makes enqueueing and the departure phase cost
 //! `O(distinct arrival rounds touched)` instead of `O(jobs)` — at high load a
-//! server can absorb dozens of jobs per round but only ever appends to (or
-//! drains) a handful of segments.
+//! server can absorb dozens of jobs per round but only ever appends one
+//! segment per round (the engine counts a round's arrivals first and pushes
+//! the total) and drains a handful.
 //!
 //! In steady state the segment ring buffer reaches a stable capacity and the
 //! queue performs no further heap allocations.

@@ -294,9 +294,10 @@ fn scd_beats_the_wr_fixed_point_at_mean_field_scale() {
 }
 
 /// The full mean-field target: n = 10⁶ servers, single shard. Ignored in
-/// tier-1 (minutes in debug builds); run with
-/// `cargo test --release -- --ignored meanfield` — the tolerances tighten
-/// with the extra order of magnitude of samples.
+/// tier-1 (minutes in debug builds); CI's "Mean-field oracle at n = 10^6"
+/// step runs it in release with
+/// `cargo test --release --test meanfield_oracle -- --ignored` — the
+/// tolerances tighten with the extra order of magnitude of samples.
 #[test]
 #[ignore = "n = 1e6 is a release-mode scale test"]
 fn homogeneous_wr_matches_the_mean_field_oracle_at_1e6() {
