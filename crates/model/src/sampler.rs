@@ -33,8 +33,10 @@ pub struct AliasSampler {
     keep: Vec<f64>,
     /// Alias column for each slot.
     alias: Vec<usize>,
-    /// Construction scratch (kept so [`rebuild`](AliasSampler::rebuild) is
-    /// allocation-free once the table has reached its steady-state size).
+    /// Construction scratch, kept by [`rebuild`](AliasSampler::rebuild) so
+    /// that rebuilding is allocation-free once the table has reached its
+    /// steady-state size; [`new`](AliasSampler::new) releases it, and the
+    /// first `rebuild` regrows it.
     remaining: Vec<f64>,
     small: Vec<usize>,
     large: Vec<usize>,
@@ -51,6 +53,12 @@ impl AliasSampler {
     pub fn new(weights: &[f64]) -> Result<Self, ModelError> {
         let mut sampler = AliasSampler::default();
         sampler.rebuild(weights)?;
+        // A table built once (WR and the `h*` probe samplers share one per
+        // cluster) never rebuilds: do not keep ~3 words per category of
+        // scratch alive beside the 2 of the table.
+        sampler.remaining = Vec::new();
+        sampler.small = Vec::new();
+        sampler.large = Vec::new();
         Ok(sampler)
     }
 
@@ -455,6 +463,12 @@ mod tests {
         let a: Vec<usize> = sampler.sample_many(200, &mut StdRng::seed_from_u64(8));
         let b: Vec<usize> = fresh.sample_many(200, &mut StdRng::seed_from_u64(8));
         assert_eq!(a, b);
+        // `new` keeps no construction scratch; a rebuild regrows it.
+        assert_eq!(fresh.remaining.capacity(), 0);
+        assert_eq!(fresh.small.capacity() + fresh.large.capacity(), 0);
+        let mut regrown = fresh.clone();
+        regrown.rebuild(&[0.1, 0.2, 0.3, 0.4]).unwrap();
+        assert_eq!(regrown.remaining.len(), 4);
         assert_eq!(sampler.len(), 4);
         // Errors leave the previous table intact.
         assert!(sampler.rebuild(&[]).is_err());

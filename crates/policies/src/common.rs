@@ -4,10 +4,10 @@ use rand::Rng;
 use rand::RngCore;
 use scd_core::index::{scan_argmin, TournamentTree};
 use scd_model::{
-    BoxedPolicy, ClusterSpec, DispatchContext, DispatcherId, PolicyFactory, StateReader,
-    StateWriter,
+    AliasSampler, BoxedPolicy, ClusterSpec, DispatchContext, DispatcherId, PolicyFactory,
+    StateReader, StateWriter,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The boxed builder closure a [`NamedFactory`] wraps.
 type BoxedBuilder = Arc<dyn Fn(DispatcherId, &ClusterSpec) -> BoxedPolicy + Send + Sync>;
@@ -59,6 +59,48 @@ impl PolicyFactory for NamedFactory {
 
     fn build(&self, dispatcher: DispatcherId, spec: &ClusterSpec) -> BoxedPolicy {
         (self.builder)(dispatcher, spec)
+    }
+}
+
+/// The cluster's rate-proportional alias table (`p_s ∝ µ_s`), built once and
+/// shared by every dispatcher a factory builds for that cluster.
+///
+/// WR samples destinations from this table, and the `h*` variants
+/// (hJSQ(d), hLSQ, hLED) sample probes from it. It depends only on the
+/// rates, so the `m` dispatchers of a run can share one immutable copy
+/// instead of holding `m`. The memo keeps the last cluster's rates and
+/// table: a factory asked for a different cluster (another sweep cell, or
+/// another shard's server subset) builds and keeps a new one. Clones of a
+/// factory share its memo.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RateTable {
+    last: Arc<Mutex<Option<RatesAndTable>>>,
+}
+
+/// A memo entry: the rates a table was built over, and the table.
+type RatesAndTable = (Vec<f64>, Arc<AliasSampler>);
+
+impl RateTable {
+    /// The alias table over `spec`'s rates: the memoized one when `spec`
+    /// has the rates of the last call, a freshly built one otherwise.
+    pub(crate) fn for_cluster(&self, spec: &ClusterSpec) -> Arc<AliasSampler> {
+        let lock = || self.last.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((rates, table)) = lock().as_ref() {
+            if rates.as_slice() == spec.rates() {
+                return Arc::clone(table);
+            }
+        }
+        // Built outside the lock: concurrent shards asking for different
+        // subsets do not wait on each other's O(n) builds.
+        let table = RateTable::build(spec);
+        *lock() = Some((spec.rates().to_vec(), Arc::clone(&table)));
+        table
+    }
+
+    /// A fresh table over `spec`'s rates, memoized nowhere — for a policy
+    /// built outside a factory.
+    pub(crate) fn build(spec: &ClusterSpec) -> Arc<AliasSampler> {
+        Arc::new(AliasSampler::new(spec.rates()).expect("cluster rates are strictly positive"))
     }
 }
 
@@ -458,6 +500,21 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn rate_table_is_memoized_for_the_last_cluster() {
+        let memo = RateTable::default();
+        let spec = ClusterSpec::from_rates(vec![1.0, 2.0, 3.0]).unwrap();
+        let first = memo.for_cluster(&spec);
+        assert!(Arc::ptr_eq(&first, &memo.for_cluster(&spec.clone())));
+        let other = ClusterSpec::from_rates(vec![1.0, 2.0, 4.0]).unwrap();
+        let second = memo.for_cluster(&other);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&second, &memo.for_cluster(&other)));
+        // Only the last cluster is kept: going back rebuilds.
+        assert!(!Arc::ptr_eq(&first, &memo.for_cluster(&spec)));
+        assert_eq!(Arc::strong_count(&first), 1);
+    }
 
     #[test]
     fn argmin_finds_unique_minimum() {

@@ -11,13 +11,14 @@
 //! it as an extension baseline for completeness and for the ablation
 //! experiments.
 
-use crate::common::{mark_availability_flips, ArgminMode, BatchArgmin, NamedFactory};
+use crate::common::{mark_availability_flips, ArgminMode, BatchArgmin, NamedFactory, RateTable};
 use rand::Rng;
 use rand::RngCore;
 use scd_model::{
     AliasSampler, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId,
     PolicyFactory, ServerId, StateReader, StateWriter,
 };
+use std::sync::Arc;
 
 /// Probing / ranking flavour for LED.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +40,7 @@ pub struct LedPolicy {
     rates: Vec<f64>,
     /// Reciprocal rates for the expected-delay ranking.
     inv_rates: Vec<f64>,
-    rate_sampler: Option<AliasSampler>,
+    rate_sampler: Option<Arc<AliasSampler>>,
     /// Warm argmin engine over the estimates: the tournament tree lives
     /// across rounds; decayed/probed estimates are repaired as dirty keys.
     picker: BatchArgmin,
@@ -66,7 +67,16 @@ impl LedPolicy {
 
     /// Heterogeneity-aware LED.
     pub fn heterogeneous(spec: &ClusterSpec, probes_per_round: usize) -> Self {
-        let sampler = AliasSampler::new(spec.rates()).expect("cluster rates are strictly positive");
+        Self::heterogeneous_with_table(spec, probes_per_round, RateTable::build(spec))
+    }
+
+    /// hLED probing through an existing rate-proportional table over
+    /// `spec`'s rates (see [`RateTable`]).
+    fn heterogeneous_with_table(
+        spec: &ClusterSpec,
+        probes_per_round: usize,
+        table: Arc<AliasSampler>,
+    ) -> Self {
         LedPolicy {
             variant: LedVariant::Heterogeneous,
             name: "hLED",
@@ -74,7 +84,7 @@ impl LedPolicy {
             estimates: vec![0.0; spec.num_servers()],
             rates: spec.rates().to_vec(),
             inv_rates: scd_model::reciprocal_rates(spec.rates()),
-            rate_sampler: Some(sampler),
+            rate_sampler: Some(table),
             picker: BatchArgmin::new(ArgminMode::Indexed),
             warm: true,
         }
@@ -273,6 +283,7 @@ pub struct LedFactory {
     probes_per_round: usize,
     mode: ArgminMode,
     warm: bool,
+    table: RateTable,
 }
 
 impl LedFactory {
@@ -283,6 +294,7 @@ impl LedFactory {
             probes_per_round: 1,
             mode: ArgminMode::Indexed,
             warm: true,
+            table: RateTable::default(),
         }
     }
 
@@ -339,7 +351,11 @@ impl PolicyFactory for LedFactory {
     fn build(&self, _dispatcher: DispatcherId, spec: &ClusterSpec) -> BoxedPolicy {
         let policy = match self.variant {
             LedVariant::Uniform => LedPolicy::uniform(spec.num_servers(), self.probes_per_round),
-            LedVariant::Heterogeneous => LedPolicy::heterogeneous(spec, self.probes_per_round),
+            LedVariant::Heterogeneous => LedPolicy::heterogeneous_with_table(
+                spec,
+                self.probes_per_round,
+                self.table.for_cluster(spec),
+            ),
         };
         let policy = policy.with_mode(self.mode);
         Box::new(if self.warm {

@@ -12,13 +12,14 @@
 //! `hLSQ` (footnote 6) probes servers proportionally to their service rate
 //! and ranks local entries by expected delay `(q̂ + 1)/µ`.
 
-use crate::common::{mark_availability_flips, ArgminMode, BatchArgmin, NamedFactory};
+use crate::common::{mark_availability_flips, ArgminMode, BatchArgmin, NamedFactory, RateTable};
 use rand::Rng;
 use rand::RngCore;
 use scd_model::{
     AliasSampler, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId,
     PolicyFactory, ServerId, StateReader, StateWriter,
 };
+use std::sync::Arc;
 
 /// Probing / ranking flavour for LSQ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +42,7 @@ pub struct LsqPolicy {
     /// The persistent local estimate of every server's queue length.
     local: Vec<u64>,
     /// Rate-proportional probe sampler for the heterogeneous variant.
-    rate_sampler: Option<AliasSampler>,
+    rate_sampler: Option<Arc<AliasSampler>>,
     rates: Vec<f64>,
     /// Reciprocal rates for the expected-delay ranking (multiplying beats
     /// dividing in the per-job key evaluations).
@@ -73,13 +74,22 @@ impl LsqPolicy {
 
     /// Heterogeneity-aware LSQ.
     pub fn heterogeneous(spec: &ClusterSpec, probes_per_round: usize) -> Self {
-        let sampler = AliasSampler::new(spec.rates()).expect("cluster rates are strictly positive");
+        Self::heterogeneous_with_table(spec, probes_per_round, RateTable::build(spec))
+    }
+
+    /// hLSQ probing through an existing rate-proportional table over
+    /// `spec`'s rates (see [`RateTable`]).
+    fn heterogeneous_with_table(
+        spec: &ClusterSpec,
+        probes_per_round: usize,
+        table: Arc<AliasSampler>,
+    ) -> Self {
         LsqPolicy {
             variant: LsqVariant::Heterogeneous,
             name: "hLSQ",
             probes_per_round,
             local: vec![0; spec.num_servers()],
-            rate_sampler: Some(sampler),
+            rate_sampler: Some(table),
             rates: spec.rates().to_vec(),
             inv_rates: scd_model::reciprocal_rates(spec.rates()),
             picker: BatchArgmin::new(ArgminMode::Indexed),
@@ -285,6 +295,7 @@ pub struct LsqFactory {
     probes_per_round: usize,
     mode: ArgminMode,
     warm: bool,
+    table: RateTable,
 }
 
 impl LsqFactory {
@@ -295,6 +306,7 @@ impl LsqFactory {
             probes_per_round: 1,
             mode: ArgminMode::Indexed,
             warm: true,
+            table: RateTable::default(),
         }
     }
 
@@ -351,7 +363,11 @@ impl PolicyFactory for LsqFactory {
     fn build(&self, _dispatcher: DispatcherId, spec: &ClusterSpec) -> BoxedPolicy {
         let policy = match self.variant {
             LsqVariant::Uniform => LsqPolicy::uniform(spec.num_servers(), self.probes_per_round),
-            LsqVariant::Heterogeneous => LsqPolicy::heterogeneous(spec, self.probes_per_round),
+            LsqVariant::Heterogeneous => LsqPolicy::heterogeneous_with_table(
+                spec,
+                self.probes_per_round,
+                self.table.for_cluster(spec),
+            ),
         };
         let policy = policy.with_mode(self.mode);
         Box::new(if self.warm {

@@ -9,12 +9,13 @@
 //! the paper also evaluates `hJSQ(d)`: sampling proportional to the service
 //! rates and ranking by expected delay (footnote 6).
 
-use crate::common::{argmin_random_ties, sample_distinct_into, NamedFactory};
+use crate::common::{argmin_random_ties, sample_distinct_into, NamedFactory, RateTable};
 use rand::RngCore;
 use scd_model::{
     AliasSampler, Availability, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy,
     DispatcherId, PolicyFactory, ServerId,
 };
+use std::sync::Arc;
 
 /// How candidate servers are sampled and ranked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +34,7 @@ pub struct PowerOfDPolicy {
     variant: PowerOfDVariant,
     name: String,
     /// Rate-proportional sampler (only for the heterogeneous variant).
-    rate_sampler: Option<AliasSampler>,
+    rate_sampler: Option<Arc<AliasSampler>>,
     /// Local copy of the queue lengths for intra-batch updates.
     local: Vec<u64>,
     /// Reusable per-job candidate buffer.
@@ -63,13 +64,21 @@ impl PowerOfDPolicy {
     /// # Panics
     /// Panics if `d == 0`.
     pub fn heterogeneous(d: usize, spec: &ClusterSpec) -> Self {
+        Self::heterogeneous_with_table(d, RateTable::build(spec))
+    }
+
+    /// An `hJSQ(d)` policy probing through an existing rate-proportional
+    /// table (see [`RateTable`]).
+    ///
+    /// # Panics
+    /// Panics if `d == 0`.
+    fn heterogeneous_with_table(d: usize, table: Arc<AliasSampler>) -> Self {
         assert!(d > 0, "power-of-d requires d >= 1");
-        let sampler = AliasSampler::new(spec.rates()).expect("cluster rates are strictly positive");
         PowerOfDPolicy {
             d,
             variant: PowerOfDVariant::Heterogeneous,
             name: format!("hJSQ({d})"),
-            rate_sampler: Some(sampler),
+            rate_sampler: Some(table),
             local: Vec::new(),
             candidates: Vec::new(),
         }
@@ -180,6 +189,7 @@ pub struct PowerOfDFactory {
     d: usize,
     variant: PowerOfDVariant,
     name: String,
+    table: RateTable,
 }
 
 impl PowerOfDFactory {
@@ -193,6 +203,7 @@ impl PowerOfDFactory {
             d,
             variant: PowerOfDVariant::Uniform,
             name: format!("JSQ({d})"),
+            table: RateTable::default(),
         }
     }
 
@@ -206,6 +217,7 @@ impl PowerOfDFactory {
             d,
             variant: PowerOfDVariant::Heterogeneous,
             name: format!("hJSQ({d})"),
+            table: RateTable::default(),
         }
     }
 
@@ -224,7 +236,10 @@ impl PolicyFactory for PowerOfDFactory {
     fn build(&self, _dispatcher: DispatcherId, spec: &ClusterSpec) -> BoxedPolicy {
         match self.variant {
             PowerOfDVariant::Uniform => Box::new(PowerOfDPolicy::uniform(self.d)),
-            PowerOfDVariant::Heterogeneous => Box::new(PowerOfDPolicy::heterogeneous(self.d, spec)),
+            PowerOfDVariant::Heterogeneous => Box::new(PowerOfDPolicy::heterogeneous_with_table(
+                self.d,
+                self.table.for_cluster(spec),
+            )),
         }
     }
 }

@@ -8,26 +8,33 @@
 //! competitive). Uniform random and round robin are included as the weakest
 //! baselines for tests and examples.
 
-use crate::common::NamedFactory;
+use crate::common::{NamedFactory, RateTable};
 use rand::Rng;
 use rand::RngCore;
 use scd_model::{
     AliasSampler, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId,
     PolicyFactory, ServerId, StateReader, StateWriter,
 };
+use std::sync::Arc;
 
 /// Weighted-random dispatching: `p_s ∝ µ_s`.
 #[derive(Debug, Clone)]
 pub struct WeightedRandomPolicy {
-    sampler: AliasSampler,
+    /// The cluster's rate-proportional table, shared by every dispatcher
+    /// built by one [`WeightedRandomFactory`].
+    sampler: Arc<AliasSampler>,
 }
 
 impl WeightedRandomPolicy {
-    /// Builds the policy for a given cluster.
+    /// Builds the policy for a given cluster, with a table of its own.
     pub fn new(spec: &ClusterSpec) -> Self {
-        WeightedRandomPolicy {
-            sampler: AliasSampler::new(spec.rates()).expect("cluster rates are strictly positive"),
-        }
+        Self::with_table(RateTable::build(spec))
+    }
+
+    /// The policy sampling from an existing rate-proportional table (see
+    /// [`RateTable`]).
+    fn with_table(table: Arc<AliasSampler>) -> Self {
+        WeightedRandomPolicy { sampler: table }
     }
 }
 
@@ -70,19 +77,27 @@ impl DispatchPolicy for WeightedRandomPolicy {
     }
 }
 
-/// Factory for [`WeightedRandomPolicy`].
+/// Factory for [`WeightedRandomPolicy`]: every dispatcher it builds for one
+/// cluster shares one alias table.
 #[derive(Debug, Clone, Default)]
-pub struct WeightedRandomFactory;
+pub struct WeightedRandomFactory {
+    table: RateTable,
+}
 
 impl WeightedRandomFactory {
     /// Creates the factory.
     pub fn new() -> Self {
-        WeightedRandomFactory
+        WeightedRandomFactory::default()
     }
 
     /// The same policy wrapped in a [`NamedFactory`].
     pub fn named() -> NamedFactory {
-        NamedFactory::new("WR", |_d, spec| Box::new(WeightedRandomPolicy::new(spec)))
+        let factory = WeightedRandomFactory::new();
+        NamedFactory::new("WR", move |d, spec| factory.build(d, spec))
+    }
+
+    fn policy(&self, spec: &ClusterSpec) -> WeightedRandomPolicy {
+        WeightedRandomPolicy::with_table(self.table.for_cluster(spec))
     }
 }
 
@@ -92,7 +107,7 @@ impl PolicyFactory for WeightedRandomFactory {
     }
 
     fn build(&self, _dispatcher: DispatcherId, spec: &ClusterSpec) -> BoxedPolicy {
-        Box::new(WeightedRandomPolicy::new(spec))
+        Box::new(self.policy(spec))
     }
 }
 
@@ -291,6 +306,46 @@ mod tests {
         let picks = policy.dispatch_batch(&ctx, 10_000, &mut rng);
         let to_loaded = picks.iter().filter(|s| s.index() == 0).count() as f64 / 10_000.0;
         assert!((to_loaded - 0.5).abs() < 0.03);
+    }
+
+    #[test]
+    fn weighted_random_dispatchers_share_one_table_per_cluster() {
+        let factory = WeightedRandomFactory::new();
+        let spec = ClusterSpec::from_rates(vec![4.0, 1.0, 1.0, 2.0]).unwrap();
+        let run: Vec<WeightedRandomPolicy> = (0..10).map(|_| factory.policy(&spec)).collect();
+        assert!(run.iter().all(|p| Arc::ptr_eq(&p.sampler, &run[0].sampler)));
+        assert_eq!(
+            Arc::strong_count(&run[0].sampler),
+            10 + 1,
+            "the memo holds one more"
+        );
+
+        // A different cluster (another sweep cell or shard) gets its own
+        // table, sized and weighted for it; the old one lives on only in
+        // the policies already built from it.
+        let other = ClusterSpec::from_rates(vec![1.0, 9.0]).unwrap();
+        let cell = factory.policy(&other);
+        assert!(!Arc::ptr_eq(&cell.sampler, &run[0].sampler));
+        assert_eq!(cell.sampler.len(), 2);
+        assert_eq!(Arc::strong_count(&run[0].sampler), 10);
+        let rates = [1.0, 9.0];
+        let queues = [0u64; 2];
+        let ctx = DispatchContext::new(&queues, &rates, 1, 0);
+        let picks = factory.build(DispatcherId::new(0), &other).dispatch_batch(
+            &ctx,
+            20_000,
+            &mut StdRng::seed_from_u64(6),
+        );
+        let to_fast = picks.iter().filter(|s| s.index() == 1).count() as f64 / 20_000.0;
+        assert!((to_fast - 0.9).abs() < 0.01, "{to_fast}");
+
+        // Equal rates in a fresh spec are a memo hit, also through a clone.
+        let again = ClusterSpec::from_rates(vec![1.0, 9.0]).unwrap();
+        assert!(Arc::ptr_eq(&factory.policy(&again).sampler, &cell.sampler));
+        assert!(Arc::ptr_eq(
+            &factory.clone().policy(&again).sampler,
+            &cell.sampler
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::checkpoint::{
     TrackerState,
 };
 use crate::config::SimConfig;
-use crate::queues::SegmentQueue;
+use crate::queues::QueueArena;
 use crate::report::{DegradationMetrics, QueueSummary, SimReport};
 use crate::scenario::StalenessSpec;
 use crate::trace::RunTrace;
@@ -417,10 +417,10 @@ impl Simulation {
             .map(|d| factory.build(DispatcherId::new(d), spec))
             .collect();
 
-        // Per-server FIFO queues, run-length encoded by arrival round; each
-        // queue tracks its own length, so no separate length mirror exists
-        // to drift out of sync.
-        let mut queues: Vec<SegmentQueue> = vec![SegmentQueue::new(); n];
+        // Per-server FIFO queues, run-length encoded by arrival round, in
+        // one chunked arena; the arena tracks each queue's length, so no
+        // separate length mirror exists to drift out of sync.
+        let mut queues = QueueArena::new(n);
         // Jobs dispatched to each server this round, not yet in its queue.
         // Nothing reads the queues between the snapshot and the departures,
         // so dispatch only counts here and the departure pass folds each
@@ -582,9 +582,9 @@ impl Simulation {
                 return mismatch("per-server / per-dispatcher vector widths disagree");
             }
             check_queue_segments(ckpt.round, &ckpt.queues).map_err(SimError::Checkpoint)?;
-            for (queue, segments) in queues.iter_mut().zip(&ckpt.queues) {
+            for (s, segments) in ckpt.queues.iter().enumerate() {
                 for &(arrival_round, count) in segments {
-                    queue.push(arrival_round, count);
+                    queues.push(s, arrival_round, count);
                 }
             }
             arrival_rng = StdRng::from_state(ckpt.arrival_rng);
@@ -688,7 +688,7 @@ impl Simulation {
                         round,
                         num_servers: n,
                         num_dispatchers: m,
-                        queues: queues.iter().map(|q| q.segments().collect()).collect(),
+                        queues: (0..n).map(|s| queues.segments(s).collect()).collect(),
                         arrival_rng: arrival_rng.state(),
                         service_rng: service_rng.state(),
                         policy_rngs: policy_rngs.iter().map(|rng| rng.state()).collect(),
@@ -812,8 +812,8 @@ impl Simulation {
                 }
             }
             // The queue-length snapshot every dispatcher observes this round.
-            for (slot, queue) in snapshot.iter_mut().zip(&queues) {
-                *slot = queue.len();
+            for (slot, len) in snapshot.iter_mut().zip(queues.lens()) {
+                *slot = len;
             }
             if measured_round {
                 tracker.observe(&snapshot);
@@ -964,10 +964,9 @@ impl Simulation {
                 // round pushes merge into one RLE segment anyway, so the
                 // queue state is identical to pushing here, but the
                 // scattered writes land in one dense vector instead of
-                // n separately allocated ring buffers. On perfbench's
-                // n = 10^5 `meanfield` workload this cut the engine's
-                // own time per round from 35–46 ms to 16–19 ms on a
-                // 2-core box, doubling rounds/s.
+                // n queue tails. On perfbench's n = 10^5 `meanfield`
+                // workload this cut the engine's own time per round from
+                // 35–46 ms to 16–19 ms on a 2-core box, doubling rounds/s.
                 let violation = |source| SimError::PolicyViolation {
                     policy: factory.name().to_string(),
                     dispatcher: d,
@@ -1010,27 +1009,31 @@ impl Simulation {
                 }
             }
 
-            // Phase 3: departures, which first fold each server's share of
-            // the round's arrivals into its queue (one segment push, and
-            // `pending` is back to zero for the next round). Capacities are
-            // drawn for every server every round (even idle ones) so the
-            // service stream does not depend on either the policy under test
-            // or the scenario; a down server's draw is then discarded — its
-            // queue freezes until repair (it received no jobs: dispatching
-            // to it is a policy violation). Whole segments complete at once,
-            // so this phase costs O(servers + segments touched), not O(jobs).
+            // Phase 3: departures. Each server takes its share of the round's
+            // arrivals out of `pending` (leaving it zero for the next round)
+            // and draws its capacity; `serve` then drains the stored
+            // segments, serves the new arrivals directly and stores only
+            // what is left — the completions, and their order, of pushing
+            // the arrivals first and popping after. Capacities are drawn
+            // for every server every round (even idle ones) so the service
+            // stream does not depend on either the policy under test or the
+            // scenario; a down server's draw is then discarded — its queue
+            // freezes until repair (it received no jobs: dispatching to it
+            // is a policy violation), so it keeps the push-only path. Whole
+            // segments complete at once, so this phase costs
+            // O(servers + segments touched), not O(jobs).
             let mut arrived_total = 0u64;
             let mut arrived_peak = 0u64;
             for s in 0..n {
                 let arrived = std::mem::take(&mut pending[s]);
-                queues[s].push(round, arrived);
                 arrived_total += arrived;
                 arrived_peak = arrived_peak.max(arrived);
                 let capacity = service_processes[s].sample(&mut service_rng);
                 if scn_active && !avail.is_up(s) {
+                    queues.push(s, round, arrived);
                     continue;
                 }
-                queues[s].pop(capacity, |arrival_round, count| {
+                queues.serve(s, round, arrived, capacity, |arrival_round, count| {
                     if arrival_round >= warmup {
                         response_times.record_many(round - arrival_round + 1, count);
                         jobs_completed += count;
@@ -1474,6 +1477,44 @@ mod tests {
                 );
             }
             assert!(deepest >= 2, "{name}: no queue ever spanned two rounds");
+        }
+    }
+
+    /// Overload grows queues across many arena chunks; checkpoints of
+    /// those queues round-trip through the codec and resume into the
+    /// uninterrupted report.
+    #[test]
+    fn multi_chunk_queues_checkpoint_and_resume_exactly() {
+        use crate::queues::CHUNK_SEGMENTS;
+        use scd_policies::WeightedRandomFactory;
+
+        let rates: Vec<f64> = (0..64).map(|s| 1.0 + (s % 4) as f64).collect();
+        let config = SimConfig::builder(ClusterSpec::from_rates(rates).unwrap())
+            .dispatchers(4)
+            .rounds(60)
+            .warmup_rounds(0)
+            .seed(77)
+            .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: 1.5 })
+            .build()
+            .unwrap();
+        let factory = WeightedRandomFactory::new();
+        let sim = Simulation::new(config).unwrap();
+        let straight = sim.run(&factory).unwrap();
+        let mut captured = Vec::new();
+        sim.run_with_checkpoints(&factory, 15, None, &mut |ckpt| {
+            captured.push(ckpt);
+            Ok(())
+        })
+        .unwrap();
+        let last = captured.last().expect("checkpoints at rounds 15, 30, 45");
+        let deepest = last.queues.iter().map(Vec::len).max().unwrap();
+        assert!(
+            deepest > 2 * CHUNK_SEGMENTS,
+            "deepest queue spans only {deepest} segments"
+        );
+        for ckpt in &captured {
+            let decoded = EngineCheckpoint::from_bytes(&ckpt.to_bytes().unwrap()).unwrap();
+            assert_eq!(sim.resume_from(&factory, &decoded).unwrap(), straight);
         }
     }
 

@@ -82,7 +82,7 @@ pub use fabric::{
     Frame, FrameKind, InjectedFault, ProgressFrame, WorkerFailure, WorkerFaultPlan,
     EXIT_CONFIG_REJECTED, EXIT_RESUME_REJECTED,
 };
-pub use queues::SegmentQueue;
+pub use queues::QueueArena;
 pub use report::{DegradationMetrics, QueueSummary, SimReport};
 pub use runner::{
     fan_out, run_comparison, run_comparison_parallel, run_replications, ComparisonResult,

@@ -95,18 +95,20 @@ impl ServiceProcess {
             ServiceProcess::Geometric { inv_ln_q, .. } => {
                 // U ∈ (0, 1); guard against a literal zero from the generator.
                 let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                let draws = (u.ln() * inv_ln_q).floor();
-                if draws < 0.0 {
-                    0
-                } else if draws > u64::MAX as f64 {
-                    u64::MAX
-                } else {
-                    draws as u64
-                }
+                geometric_draw(u, *inv_ln_q)
             }
             ServiceProcess::Deterministic { capacity } => *capacity,
         }
     }
+}
+
+/// `⌊ln(u) · inv_ln_q⌋` clamped to `[0, u64::MAX]`, for `u ∈ (0, 1)` and
+/// `inv_ln_q = 1/ln(1−p) < 0`. The product is then ≥ 0 (or −0.0), where
+/// truncation equals the floor, and `as` saturates exactly where the clamps
+/// would (mapping NaN to 0 as they do): the same value without a libm
+/// `floor` call per draw.
+fn geometric_draw(u: f64, inv_ln_q: f64) -> u64 {
+    (u.ln() * inv_ln_q) as u64
 }
 
 #[cfg(test)]
@@ -148,6 +150,41 @@ mod tests {
             (var - expected).abs() < 0.05 * expected,
             "variance {var} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn saturating_cast_matches_the_clamped_floor() {
+        fn clamped_floor(u: f64, inv_ln_q: f64) -> u64 {
+            let draws = (u.ln() * inv_ln_q).floor();
+            if draws < 0.0 {
+                0
+            } else if draws > u64::MAX as f64 {
+                u64::MAX
+            } else {
+                draws as u64
+            }
+        }
+        let inv_ln_qs: Vec<f64> = [0.01, 0.5, 1.0, 4.0, 1e3, 1e6]
+            .iter()
+            .map(|&mu| match ServiceProcess::geometric(mu) {
+                ServiceProcess::Geometric { inv_ln_q, .. } => inv_ln_q,
+                ServiceProcess::Deterministic { .. } => unreachable!(),
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x5E_4F1CE);
+        let extremes = [f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0];
+        let draws = (0..10_000_000)
+            .map(|_| rng.gen::<f64>().max(f64::MIN_POSITIVE))
+            .chain(extremes);
+        for u in draws {
+            for &inv_ln_q in &inv_ln_qs {
+                assert_eq!(
+                    geometric_draw(u, inv_ln_q),
+                    clamped_floor(u, inv_ln_q),
+                    "u = {u:e}, 1/ln(1-p) = {inv_ln_q:e}"
+                );
+            }
+        }
     }
 
     #[test]
